@@ -27,9 +27,8 @@ from .classify import (
     classify_fan_triangulation,
     classify_improved,
     classify_raycast,
-    legality_test,
 )
-from .geom import EPS, Point, _dist_point_segment
+from .geom import EPS, Point, _ring_scan
 from .polygon import (
     ConvexPolygon,
     PolygonError,
@@ -37,6 +36,7 @@ from .polygon import (
     oracle_classify,
     polygon_to_dict,
     random_convex,
+    sigma,
     validate_convex,
 )
 
@@ -197,11 +197,20 @@ class ExpectationReport:
 
 @dataclass(frozen=True)
 class QueryRule:
-    """Query point selection for the polygon sweep: start at the centroid
-    and move the given fraction toward a seed-chosen vertex."""
+    """Query point selection for the polygon sweep and the expectation
+    check: start at the centroid and move the given fraction toward a
+    seed-chosen vertex."""
 
     name: str
     fraction: float
+
+    def point(self, poly: ConvexPolygon, rng: np.random.Generator) -> Point:
+        """The rule's query point for ``poly``; the vertex is drawn from
+        ``rng``."""
+        cen = poly.centroid()
+        v = poly.vertices[int(rng.integers(0, poly.n))]
+        return Point(cen.x + self.fraction * (v.x - cen.x),
+                     cen.y + self.fraction * (v.y - cen.y))
 
 
 CENTROID_RULE = QueryRule("centroid", 0.0)
@@ -357,10 +366,7 @@ def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
     for k, nk in enumerate(cfg.polygon_sizes):
         poly = random_convex(int(nk), int(rng.integers(0, _SEED_BOUND)),
                              radius)
-        cen = poly.centroid()
-        v = poly.vertices[int(rng.integers(0, poly.n))]
-        q = Point(cen.x + rule.fraction * (v.x - cen.x),
-                  cen.y + rule.fraction * (v.y - cen.y))
+        q = rule.point(poly, rng)
         seeds = [int(rng.integers(0, _SEED_BOUND))]
         truths = [oracle_classify(poly, q, eps)]
         jobs.append((k, poly, [q], seeds, truths))
@@ -396,7 +402,7 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = poly.n
-    sig = sum(1 for i in range(n) if legality_test(poly, i, p, eps).legal)
+    sig = sigma(poly, p, eps)
 
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, _SEED_BOUND, runs).tolist()
@@ -429,15 +435,7 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
 
 
 def _near_any_edge(poly: ConvexPolygon, p: Point, threshold: float) -> bool:
-    px, py = p
-    for i in range(poly.n):
-        ax, ay = poly.vertices[i - 1]
-        bx, by = poly.vertices[i]
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if abs(cr) <= threshold * (abs(bx - ax) + abs(by - ay)):
-            if _dist_point_segment(px, py, ax, ay, bx, by) <= threshold:
-                return True
-    return False
+    return _ring_scan(poly.vertices, *p, threshold) < 0
 
 
 def _four_way(poly: ConvexPolygon, p: Point, policy_seed: int, eps: float):

@@ -5,8 +5,9 @@ contract.
 perpendicular construction admits the query point, then answers with an
 even-odd ray cast against just the four ring vertices around that edge.
 ``classify_raycast`` and ``classify_fan_triangulation`` are the linear
-baselines; all three share the same boundary semantics so comparisons
-measure algorithmic work, not boundary handling.
+baselines. All three decide "on the boundary" with the same eps ring scan
+(``geom._ring_scan``), so comparisons measure algorithmic work, not
+boundary handling.
 
 Admission rule ("legality"): edge (a, b) with outer neighbors c and d admits
 a point p exactly when p lies strictly on the edge side of the chord c-d.
@@ -32,8 +33,9 @@ import numpy as np
 from .geom import (
     EPS,
     Point,
-    _dist_point_segment,
     _on_segment_coords,
+    _require_finite,
+    _ring_scan,
     perpendicular_foot,
 )
 from .polygon import Classification, ConvexPolygon, Quad, adjacent_quad
@@ -151,21 +153,6 @@ def legality_test(poly: ConvexPolygon, i: int, p: Point,
     return LegalityOutcome(legal, foot, zero)
 
 
-def _ring_crossings(ring: tuple[Point, ...], px: float, py: float) -> int:
-    # Even-odd rule with the half-open vertex convention: an edge counts iff
-    # exactly one endpoint is strictly above the ray and the crossing lies
-    # strictly right of the point.
-    count = 0
-    m = len(ring)
-    for k in range(m):
-        ax, ay = ring[k - 1]
-        bx, by = ring[k]
-        if (ay > py) != (by > py):
-            if ax + (py - ay) * (bx - ax) / (by - ay) > px:
-                count += 1
-    return count
-
-
 def classify_quad(quad: Quad, p: Point, n_polygon: int,
                   eps: float = EPS) -> Classification:
     """Classify ``p`` against the quad ring (c, a, b, d).
@@ -173,22 +160,20 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int,
     The three sides c-a, a-b, b-d are polygon edges, so landing on them is
     ON_BOUNDARY. The closing side d-c is a real edge only when the source
     polygon is a square (N=4); for N >= 5 it is an interior chord and points
-    on it are INSIDE. For a degenerate (triangle) quad the closing side is
-    the single point c, which the c-a side check already covers.
+    on it are INSIDE. The scan visits d-c last, so a point near it and near
+    a polygon side (the outer vertices c and d) stays ON_BOUNDARY. For a
+    degenerate (triangle) quad the closing side is the single point c, which
+    the c-a side already covers.
     """
     px, py = p
     c, a, b, d = quad.c, quad.a, quad.b, quad.d
-    if (_on_segment_coords(px, py, c.x, c.y, a.x, a.y, eps)
-            or _on_segment_coords(px, py, a.x, a.y, b.x, b.y, eps)
-            or _on_segment_coords(px, py, b.x, b.y, d.x, d.y, eps)):
+    ring = (a, b, c) if quad.degenerate else (a, b, d, c)
+    r = _ring_scan(ring, px, py, eps)
+    if r < 0:
+        if r == -4 and n_polygon != 4:
+            return Classification.INSIDE
         return Classification.ON_BOUNDARY
-    if not quad.degenerate and _on_segment_coords(
-            px, py, d.x, d.y, c.x, c.y, eps):
-        if n_polygon == 4:
-            return Classification.ON_BOUNDARY
-        return Classification.INSIDE
-    ring = (c, a, b) if quad.degenerate else (c, a, b, d)
-    if _ring_crossings(ring, px, py) % 2 == 1:
+    if r % 2 == 1:
         return Classification.INSIDE
     return Classification.OUTSIDE
 
@@ -203,6 +188,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     polygon side of every neighbor chord, which only happens inside, so the
     verdict is INSIDE with ``exhausted_all`` set.
     """
+    px, py = p
+    _require_finite(px, py)
     if policy is None:
         policy = SeededShuffle(DEFAULT_SEED)
     verts = poly.vertices
@@ -218,7 +205,6 @@ def classify_improved(poly: ConvexPolygon, p: Point,
                 return verdict, TrialStats(tried, tried + 3, idx, False)
         return Classification.INSIDE, TrialStats(n, n, None, True)
 
-    px, py = p
     neg = -eps
     tried = 0
     for idx in order:
@@ -246,19 +232,12 @@ def classify_raycast(poly: ConvexPolygon, p: Point,
     verts = poly.vertices
     n = len(verts)
     px, py = p
+    _require_finite(px, py)
     stats = TrialStats(n, n, None, False)
-    crossings = 0
-    for i in range(n):
-        ax, ay = verts[i - 1]
-        bx, by = verts[i]
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if abs(cr) <= eps * (abs(bx - ax) + abs(by - ay)):
-            if _dist_point_segment(px, py, ax, ay, bx, by) <= eps:
-                return Classification.ON_BOUNDARY, stats
-        if (ay > py) != (by > py):
-            if ax + (py - ay) * (bx - ax) / (by - ay) > px:
-                crossings += 1
-    if crossings % 2 == 1:
+    r = _ring_scan(verts, px, py, eps)
+    if r < 0:
+        return Classification.ON_BOUNDARY, stats
+    if r % 2 == 1:
         return Classification.INSIDE, stats
     return Classification.OUTSIDE, stats
 
@@ -276,22 +255,16 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
     verts = poly.vertices
     n = len(verts)
     px, py = p
-    for i in range(n):
-        ax, ay = verts[i - 1]
-        bx, by = verts[i]
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if abs(cr) <= eps * (abs(bx - ax) + abs(by - ay)):
-            if _dist_point_segment(px, py, ax, ay, bx, by) <= eps:
-                return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
+    _require_finite(px, py)
+    if _ring_scan(verts, px, py, eps) < 0:
+        return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
 
     ox, oy = verts[0]
     neg = -eps
     tested = n
-    tris = 0
     for i in range(1, n - 1):
         ax, ay = verts[i]
         bx, by = verts[i + 1]
-        tris += 1
         tested += 1
         if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) < neg:
             continue
@@ -301,5 +274,5 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
         tested += 1
         if (ox - bx) * (py - by) - (oy - by) * (px - bx) < neg:
             continue
-        return Classification.INSIDE, TrialStats(tris, tested, None, False)
-    return Classification.OUTSIDE, TrialStats(tris, tested, None, False)
+        return Classification.INSIDE, TrialStats(i, tested, None, False)
+    return Classification.OUTSIDE, TrialStats(n - 2, tested, None, False)

@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .bench import (
     CENTROID_RULE,
     NEAR_BOUNDARY_RULE,
@@ -29,7 +31,7 @@ from .classify import (
     classify_improved,
     classify_raycast,
 )
-from .geom import GeometryError, Point
+from .geom import GeometryError, Point, _require_finite
 from .polygon import PolygonError, dump_polygon, load_polygon, random_convex
 
 _RULES = {"centroid": CENTROID_RULE, "near-boundary": NEAR_BOUNDARY_RULE}
@@ -38,9 +40,11 @@ _RULES = {"centroid": CENTROID_RULE, "near-boundary": NEAR_BOUNDARY_RULE}
 def _parse_point(text: str) -> Point:
     try:
         sx, sy = text.split(",")
-        return Point(float(sx), float(sy))
+        p = Point(float(sx), float(sy))
     except ValueError as exc:
         raise GeometryError(f"point must be 'x,y' decimal, got {text!r}") from exc
+    _require_finite(*p)
+    return p
 
 
 def _cmd_classify(args) -> int:
@@ -93,11 +97,8 @@ def _cmd_bench(args) -> int:
         report = run_polygon_sweep(cfg, _RULES[args.query_rule], args.radius)
     else:
         poly = random_convex(args.polygon_n, args.seed, args.radius)
-        rule = _RULES[args.query_rule]
-        cen = poly.centroid()
-        v = poly.vertices[0]
-        q = Point(cen.x + rule.fraction * (v.x - cen.x),
-                  cen.y + rule.fraction * (v.y - cen.y))
+        q = _RULES[args.query_rule].point(poly,
+                                          np.random.default_rng(args.seed))
         report = trial_expectation_check(poly, q, args.runs, args.seed)
 
     out = args.out or f"report.{args.format}"

@@ -1,5 +1,6 @@
 """Robust planar primitives: orientation, line intersection, perpendicular
-feet, segment intersection, on-segment tests, and band containment.
+feet, segment intersection, on-segment tests, the boundary-and-crossing ring
+scan shared by the classifiers, and band containment.
 
 Everything here runs in plain double precision with a single absolute
 tolerance ``EPS`` (default 1e-9). Predicates that accept ``eps`` interpret it
@@ -164,6 +165,28 @@ def _on_segment_coords(px: float, py: float, ax: float, ay: float,
     if abs(cr) > eps * (abs(bx - ax) + abs(by - ay)):
         return False
     return _dist_point_segment(px, py, ax, ay, bx, by) <= eps
+
+
+def _ring_scan(ring, px: float, py: float, eps: float) -> int:
+    """One pass over the closed vertex ``ring``: the even-odd crossing count
+    of the rightward ray from (px, py), or ``-1 - k`` for the first ring edge
+    k = (ring[k-1], ring[k]) that lies within ``eps`` of the point.
+
+    The ray counts an edge iff exactly one endpoint is strictly above it and
+    the crossing lies strictly right of the point (half-open vertex rule).
+    """
+    crossings = 0
+    for k in range(len(ring)):
+        ax, ay = ring[k - 1]
+        bx, by = ring[k]
+        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if abs(cr) <= eps * (abs(bx - ax) + abs(by - ay)):
+            if _dist_point_segment(px, py, ax, ay, bx, by) <= eps:
+                return -1 - k
+        if (ay > py) != (by > py):
+            if ax + (py - ay) * (bx - ax) / (by - ay) > px:
+                crossings += 1
+    return crossings
 
 
 def point_on_segment(p: Point, s: Segment, eps: float = EPS) -> bool:

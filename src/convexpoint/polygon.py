@@ -221,6 +221,7 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     verts = poly.vertices
     n = len(verts)
     px, py = p
+    _require_finite(px, py)
     on_edge = False
     off_line = False
     for i in range(n):

@@ -4,6 +4,7 @@ geometry, policy invariance, reduction soundness, and counter contracts."""
 import math
 
 import numpy as np
+import pytest
 
 from convexpoint.classify import (
     SeededShuffle,
@@ -15,7 +16,7 @@ from convexpoint.classify import (
     edge_order,
     legality_test,
 )
-from convexpoint.geom import Point
+from convexpoint.geom import GeometryError, Point
 from convexpoint.polygon import (
     Classification,
     adjacent_quad,
@@ -112,6 +113,23 @@ class TestClassifyQuad:
         mid = Point((q.d.x + q.c.x) / 2, (q.d.y + q.c.y) / 2)
         assert classify_quad(q, mid, 6) is Classification.INSIDE
         assert oracle_classify(poly, mid) is Classification.INSIDE
+
+    def test_outer_vertices_are_boundary_for_hexagon(self):
+        # c and d are polygon vertices that also end the interior chord d-c;
+        # the polygon sides through them must win over the chord
+        eps = 1e-9
+        for poly in (regular_ngon(6), random_convex(6, seed=11, radius=3)):
+            for i in range(6):
+                q = adjacent_quad(poly, i)
+                for v in (q.c, q.d):
+                    assert classify_quad(q, v, 6, eps) \
+                        is Classification.ON_BOUNDARY
+                    for k in range(8):
+                        t = 2 * math.pi * k / 8
+                        p = Point(v.x + 0.5 * eps * math.cos(t),
+                                  v.y + 0.5 * eps * math.sin(t))
+                        assert classify_quad(q, p, 6, eps) \
+                            is Classification.ON_BOUNDARY, (i, v, k)
 
     def test_polygon_sides_are_boundary(self):
         q = adjacent_quad(SQUARE, 0)
@@ -252,6 +270,23 @@ class TestClassifyFan:
         p = Point(v0.x + 0.5 * (v4.x - v0.x), v0.y + 0.5 * (v4.y - v0.y))
         verdict, _ = classify_fan_triangulation(poly, p)
         assert verdict is Classification.INSIDE
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("p", [Point(math.nan, 0.5),
+                                   Point(0.5, math.inf),
+                                   Point(-math.inf, math.nan)])
+    def test_every_classifier_rejects(self, p):
+        with pytest.raises(GeometryError):
+            classify_improved(SQUARE, p)
+        with pytest.raises(GeometryError):
+            classify_improved(TRIANGLE, p)
+        with pytest.raises(GeometryError):
+            classify_raycast(SQUARE, p)
+        with pytest.raises(GeometryError):
+            classify_fan_triangulation(SQUARE, p)
+        with pytest.raises(GeometryError):
+            oracle_classify(SQUARE, p)
 
 
 class TestBoundaryCompleteness:

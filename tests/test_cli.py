@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from convexpoint.bench import NEAR_BOUNDARY_RULE, trial_expectation_check
 from convexpoint.cli import main
+from convexpoint.polygon import random_convex
 
 SQUARE_DOC = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 
@@ -39,6 +42,11 @@ class TestClassify:
 
     def test_bad_point_exit2(self, square_file, capsys):
         assert main(["classify", square_file, "--point", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("point", ["nan,0.5", "0.5,inf"])
+    def test_non_finite_point_exit2(self, square_file, capsys, point):
+        assert main(["classify", square_file, "--point", point]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_polygon_exit2(self, tmp_path, capsys):
@@ -110,6 +118,18 @@ class TestBench:
                      "--seed", "5", "--out", out])
         assert code == 0
         assert open(out).read().startswith("n_edges,sigma,")
+
+    def test_expectation_point_follows_query_rule(self, tmp_path, capsys):
+        out = str(tmp_path / "exp.json")
+        code = main(["bench", "--mode", "expectation", "--polygon-n", "12",
+                     "--radius", "100", "--query-rule", "near-boundary",
+                     "--runs", "200", "--seed", "5", "--format", "json",
+                     "--out", out])
+        assert code == 0
+        poly = random_convex(12, 5, 100.0)
+        q = NEAR_BOUNDARY_RULE.point(poly, np.random.default_rng(5))
+        expected = trial_expectation_check(poly, q, 200, 5)
+        assert json.loads(open(out).read()) == expected.to_dict()
 
     def test_svg_for_expectation_rejected(self, tmp_path, capsys):
         code = main(["bench", "--mode", "expectation", "--polygon-n", "8",
