@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -85,6 +86,14 @@ class LegalityOutcome:
 
 _MASK64 = (1 << 64) - 1
 _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
+# Knuth's MMIX LCG; only the high bits of its state pick swap positions.
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
+# Positions a seeded order draws one at a time before it shuffles the rest
+# in bulk. Exterior queries admit within a few trials and rarely reach the
+# bulk shuffle, whose fixed cost is about that of 16 lazy draws, so a query
+# that does reach it pays at most about twice the cheapest split.
+_LAZY_DRAWS = 16
 
 _tls = threading.local()
 
@@ -98,10 +107,27 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _shuffled_order(seed: int, n: int) -> list[int]:
-    # Resetting a thread-local PCG64's state is a pure function of the seed
-    # and several microseconds cheaper per call than fresh SeedSequence
-    # entropy mixing, which matters when every classification shuffles.
+def _lazy_draws(seed: int, n: int, moved: dict[int, int]) -> Iterator[int]:
+    # Forward Fisher-Yates over a virtual identity array a (Knuth, TAOCP
+    # vol. 2, 3.4.2, Algorithm P, run from the front): position i takes a[j]
+    # for j uniform in [i, n), and a[j] takes a[i]. ``moved`` holds the
+    # entries of a that differ from their index. j comes from the high bits
+    # of state * (n - i) (Lemire's multiply-shift), biased by under n / 2**64.
+    state = _mix64(seed & _MASK64)
+    get = moved.get
+    for i in range(min(n, _LAZY_DRAWS)):
+        state = (state * _LCG_MUL + _LCG_INC) & _MASK64
+        j = i + ((state * (n - i)) >> 64)
+        out = get(j, j)
+        moved[j] = get(i, i)
+        yield out
+
+
+def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> list[int]:
+    # The positions past the lazy draws hold the unvisited edges; one numpy
+    # shuffle of them completes a uniform permutation. Resetting a
+    # thread-local PCG64's state is a pure function of the seed and several
+    # microseconds cheaper than fresh SeedSequence entropy mixing.
     gen = getattr(_tls, "gen", None)
     if gen is None:
         _tls.bg = np.random.PCG64(0)
@@ -114,16 +140,36 @@ def _shuffled_order(seed: int, n: int) -> list[int]:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.permutation(n).tolist()
+    rest = np.arange(_LAZY_DRAWS, n)
+    for j, v in moved.items():
+        if j >= _LAZY_DRAWS:
+            rest[j - _LAZY_DRAWS] = v
+    gen.shuffle(rest)
+    return rest.tolist()
+
+
+def _seeded_parts(seed: int, n: int) -> Iterator[Iterable[int]]:
+    # Chained, the parts are a uniform permutation of range(n). The bulk
+    # part is built only when a caller reads past the lazy draws.
+    moved: dict[int, int] = {}
+    yield _lazy_draws(seed, n, moved)
+    if n > _LAZY_DRAWS:
+        yield _bulk_rest(seed, n, moved)
+
+
+def _visit_order(policy: EdgeOrderPolicy, n: int) -> Iterable[int]:
+    if isinstance(policy, SeededShuffle):
+        return chain.from_iterable(_seeded_parts(policy.seed, n))
+    if isinstance(policy, Sequential):
+        s = policy.start % n
+        return chain(range(s, n), range(s))
+    raise TypeError(f"unknown edge order policy: {policy!r}")
 
 
 def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
-    if isinstance(policy, SeededShuffle):
-        return _shuffled_order(policy.seed, n)
-    if isinstance(policy, Sequential):
-        s = policy.start % n
-        return list(range(s, n)) + list(range(s))
-    raise TypeError(f"unknown edge order policy: {policy!r}")
+    """The complete edge order that ``classify_improved`` visits under
+    ``policy``; a query reads only the prefix up to its admitting edge."""
+    return list(_visit_order(policy, n))
 
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point,
@@ -153,6 +199,19 @@ def legality_test(poly: ConvexPolygon, i: int, p: Point,
     return LegalityOutcome(legal, foot, zero)
 
 
+def _quad_verdict(r: int, n_polygon: int) -> Classification:
+    # ``r`` is ``_ring_scan`` over the quad ring (a, b, d, c), or over the
+    # triangle itself. Ring edge 3 is the closing side d-c, a polygon edge
+    # only when the polygon is a square; otherwise it is an interior chord.
+    if r < 0:
+        if r == -4 and n_polygon != 4:
+            return Classification.INSIDE
+        return Classification.ON_BOUNDARY
+    if r % 2 == 1:
+        return Classification.INSIDE
+    return Classification.OUTSIDE
+
+
 def classify_quad(quad: Quad, p: Point, n_polygon: int,
                   eps: float = EPS) -> Classification:
     """Classify ``p`` against the quad ring (c, a, b, d).
@@ -168,14 +227,7 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int,
     px, py = p
     c, a, b, d = quad.c, quad.a, quad.b, quad.d
     ring = (a, b, c) if quad.degenerate else (a, b, d, c)
-    r = _ring_scan(ring, px, py, eps)
-    if r < 0:
-        if r == -4 and n_polygon != 4:
-            return Classification.INSIDE
-        return Classification.ON_BOUNDARY
-    if r % 2 == 1:
-        return Classification.INSIDE
-    return Classification.OUTSIDE
+    return _quad_verdict(_ring_scan(ring, px, py, eps), n_polygon)
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
@@ -186,7 +238,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     Tries edges in the policy order; the first admitting edge reduces the
     problem to its quad. When every edge rejects, the point sits on the
     polygon side of every neighbor chord, which only happens inside, so the
-    verdict is INSIDE with ``exhausted_all`` set.
+    verdict is INSIDE with ``exhausted_all`` set. A seeded order is drawn
+    lazily, so a query that admits early pays only for the edges it tries.
     """
     px, py = p
     _require_finite(px, py)
@@ -194,28 +247,27 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         policy = SeededShuffle(DEFAULT_SEED)
     verts = poly.vertices
     n = len(verts)
-    order = edge_order(policy, n)
+    order = _visit_order(policy, n)
+    tried = 0
 
     if n == 3:
-        tried = 0
+        # The quad of a triangle is the triangle itself.
         for idx in order:
             tried += 1
             if legality_test(poly, idx, p, eps).legal:
-                verdict = classify_quad(adjacent_quad(poly, idx), p, n, eps)
+                verdict = _quad_verdict(_ring_scan(verts, px, py, eps), n)
                 return verdict, TrialStats(tried, tried + 3, idx, False)
         return Classification.INSIDE, TrialStats(n, n, None, True)
 
+    chords = poly.chords
     neg = -eps
-    tried = 0
     for idx in order:
         tried += 1
-        cx, cy = verts[idx - 1]
-        j = idx + 2
-        if j >= n:
-            j -= n
-        dx, dy = verts[j]
-        if (dx - cx) * (py - cy) - (dy - cy) * (px - cx) < neg:
-            verdict = classify_quad(adjacent_quad(poly, idx), p, n, eps)
+        cx, cy, ux, uy = chords[idx]
+        if ux * (py - cy) - uy * (px - cx) < neg:
+            ring = (verts[idx], verts[(idx + 1) % n], verts[(idx + 2) % n],
+                    verts[idx - 1])
+            verdict = _quad_verdict(_ring_scan(ring, px, py, eps), n)
             return verdict, TrialStats(tried, tried + 4, idx, False)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,22 @@ class ConvexPolygon:
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def chords(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Per edge i, the chord c = V[i-1] -> d = V[i+2] as
+        ``(cx, cy, dx - cx, dy - cy)``, built on first use.
+
+        Edge i admits p iff ``ux * (py - cy) - uy * (px - cx) < -eps``: p
+        lies strictly on the edge side of its neighbors' chord. For a
+        triangle the chord collapses to the opposite vertex (u = 0), so the
+        table cannot express the triangle rule; see ``legality_test``. The
+        cache lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and repr see only ``vertices``.
+        """
+        v = self.vertices
+        return tuple((c.x, c.y, d.x - c.x, d.y - c.y)
+                     for c, d in zip(v[-1:] + v[:-1], v[2:] + v[:2]))
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
@@ -244,11 +261,17 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
 
 def sigma(poly: ConvexPolygon, p: Point, eps: float = EPS) -> int:
     """Number of edges whose perpendicular passes the legality test for
-    ``p``, counted by exhaustive scan over all N edges."""
-    from .classify import legality_test  # deferred: classify builds on this module
+    ``p``, counted by exhaustive scan over all N edges with the admission
+    test of ``classify_improved``: the chord table, or for a triangle
+    ``legality_test``."""
+    if poly.n == 3:
+        from .classify import legality_test  # deferred: classify builds on this module
 
-    return sum(
-        1 for i in range(poly.n) if legality_test(poly, i, p, eps).legal)
+        return sum(1 for i in range(3) if legality_test(poly, i, p, eps).legal)
+    px, py = p
+    neg = -eps
+    return sum(1 for cx, cy, ux, uy in poly.chords
+               if ux * (py - cy) - uy * (px - cx) < neg)
 
 
 def polygon_to_dict(poly: ConvexPolygon) -> dict:

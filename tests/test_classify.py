@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from convexpoint.classify import (
+    _LAZY_DRAWS,
     SeededShuffle,
     Sequential,
     classify_fan_triangulation,
@@ -61,6 +62,36 @@ class TestEdgeOrder:
     def test_sequential_wraps(self):
         assert edge_order(Sequential(3), 5) == [3, 4, 0, 1, 2]
         assert edge_order(Sequential(0), 3) == [0, 1, 2]
+
+    @pytest.mark.parametrize("n", [3, _LAZY_DRAWS - 1, _LAZY_DRAWS,
+                                   _LAZY_DRAWS + 1, 2000])
+    def test_seeded_order_is_deterministic_permutation(self, n):
+        # below, at and just past the lazy draws, and deep into the bulk part
+        for seed in (0, 1, 2**63 - 1):
+            a = edge_order(SeededShuffle(seed), n)
+            assert sorted(a) == list(range(n))
+            assert a == edge_order(SeededShuffle(seed), n)
+
+    def test_seeded_order_uniform_over_all_orders_of_four(self):
+        counts = {}
+        for seed in range(24_000):
+            key = tuple(edge_order(SeededShuffle(seed), 4))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 24
+        chi2 = sum((c - 1000) ** 2 / 1000 for c in counts.values())
+        assert chi2 < 49.73  # 0.999 quantile, 23 degrees of freedom
+
+    def test_seeded_order_uniform_first_lazy_and_first_bulk_position(self):
+        # position 0 comes from the lazy draws, position _LAZY_DRAWS from
+        # the bulk shuffle
+        n, runs = 40, 20_000
+        for pos in (0, _LAZY_DRAWS):
+            counts = [0] * n
+            for seed in range(runs):
+                counts[edge_order(SeededShuffle(seed), n)[pos]] += 1
+            expected = runs / n
+            chi2 = sum((c - expected) ** 2 / expected for c in counts)
+            assert chi2 < 72.05, pos  # 0.999 quantile, 39 degrees of freedom
 
 
 class TestLegality:
@@ -185,16 +216,21 @@ class TestClassifyImproved:
                 assert st.edges_tried <= n
 
     def test_legal_edge_position_matches_policy_order(self):
-        poly = random_convex(12, seed=8, radius=10)
-        rng = np.random.default_rng(3)
-        for p in lattice_probe_points(poly, rng, 40):
-            policy = SeededShuffle(21)
-            _, st = classify_improved(poly, p, policy)
-            if st.legal_edge is not None:
-                order = edge_order(policy, poly.n)
-                assert order[st.edges_tried - 1] == st.legal_edge
-                # the reported edge passes the admission test in isolation
-                assert legality_test(poly, st.legal_edge, p).legal
+        # 40 and 300 edges reach past the lazy draws into the bulk order
+        for n, seed in [(12, 8), (40, 9), (300, 10)]:
+            poly = random_convex(n, seed=seed, radius=10)
+            rng = np.random.default_rng(3)
+            for p in lattice_probe_points(poly, rng, 40):
+                policy = SeededShuffle(21)
+                _, st = classify_improved(poly, p, policy)
+                if st.legal_edge is not None:
+                    order = edge_order(policy, poly.n)
+                    assert order[st.edges_tried - 1] == st.legal_edge
+                    # the reported edge passes the admission test in isolation
+                    assert legality_test(poly, st.legal_edge, p).legal
+                    # and every edge tried before it rejects
+                    assert not any(legality_test(poly, e, p).legal
+                                   for e in order[:st.edges_tried - 1])
 
     def test_policy_invariance(self):
         rng = np.random.default_rng(5)

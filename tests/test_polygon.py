@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from convexpoint.classify import legality_test
 from convexpoint.geom import Point
 from convexpoint.polygon import (
     Classification,
+    ConvexPolygon,
     DuplicateVertexError,
     NotConvexError,
     NotSimpleError,
@@ -214,7 +216,47 @@ class TestSeparation:
                     assert side_v * side_mid < 0
 
 
+class TestChordTable:
+    def test_matches_adjacent_quad(self):
+        for n, seed in [(3, 51), (4, 52), (5, 53), (40, 54)]:
+            poly = random_convex(n, seed, radius=20)
+            assert len(poly.chords) == n
+            for i in range(n):
+                q = adjacent_quad(poly, i)
+                assert poly.chords[i] == (q.c.x, q.c.y,
+                                          q.d.x - q.c.x, q.d.y - q.c.y)
+
+    def test_raw_constructor_compares_and_hashes_as_before(self):
+        verts = random_convex(9, seed=55, radius=3).vertices
+        a, b = ConvexPolygon(verts), ConvexPolygon(verts)
+        h, r = hash(a), repr(a)
+        assert a.chords
+        assert a == b and b == a
+        assert hash(a) == h == hash(b) == hash((verts,))
+        assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
+        assert a != ConvexPolygon(verts[1:] + verts[:1])
+
+
 class TestSigma:
+    def test_counts_legality_test_admissions(self):
+        # the chord table and legality_test are one admission predicate;
+        # triangles go through the apex rule, and each vertex ends two
+        # chords, where the chord-side test sits on its threshold
+        rng = np.random.default_rng(57)
+        for n in (3, 3, 4, 5, 8, 30):
+            poly = random_convex(n, int(rng.integers(1 << 32)), radius=25)
+            verts = poly.vertices
+            pts = list(verts)
+            pts += [Point((v.x + w.x) / 2, (v.y + w.y) / 2)
+                    for v, w in zip(verts, verts[1:] + verts[:1])]
+            pts += [Point(float(x), float(y))
+                    for x, y in rng.uniform(-35, 35, (30, 2))]
+            for p in pts:
+                for eps in (1e-9, 0.0):
+                    assert sigma(poly, p, eps) == sum(
+                        legality_test(poly, i, p, eps).legal
+                        for i in range(n)), (n, p, eps)
+
     def test_square_center_regression(self):
         # exhaustive scan over the four edges: every perpendicular from the
         # center is admissible for a square
