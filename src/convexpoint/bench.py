@@ -15,7 +15,7 @@ import gc
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from statistics import median
 from typing import Optional
 
@@ -40,7 +40,16 @@ from .polygon import (
     validate_convex,
 )
 
-ALGORITHMS = ("improved", "raycast", "fan")
+# Every classifier the sweeps, the fuzz and the CLI run, as
+# (poly, p, policy_seed, eps) -> (Classification, TrialStats). The order is
+# the report order and the SVG colour order.
+CLASSIFIERS = {
+    "improved": lambda poly, p, seed, eps: classify_improved(
+        poly, p, SeededShuffle(seed), eps),
+    "raycast": lambda poly, p, seed, eps: classify_raycast(poly, p, eps),
+    "fan": lambda poly, p, seed, eps: classify_fan_triangulation(poly, p, eps),
+}
+ALGORITHMS = tuple(CLASSIFIERS)
 
 _SEED_BOUND = 2**63 - 1
 
@@ -75,25 +84,11 @@ class BenchConfig:
             raise ValueError(f"invalid bench config: {self}")
 
     def to_dict(self) -> dict:
-        return {
-            "polygon_sizes": list(self.polygon_sizes),
-            "points_per_set": self.points_per_set,
-            "num_point_sets": self.num_point_sets,
-            "seed": self.seed,
-            "warmup_rounds": self.warmup_rounds,
-            "repetitions": self.repetitions,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        return cls(
-            polygon_sizes=tuple(d["polygon_sizes"]),
-            points_per_set=d["points_per_set"],
-            num_point_sets=d["num_point_sets"],
-            seed=d["seed"],
-            warmup_rounds=d["warmup_rounds"],
-            repetitions=d["repetitions"],
-        )
+        return cls(**{**d, "polygon_sizes": tuple(d["polygon_sizes"])})
 
 
 @dataclass(frozen=True)
@@ -108,16 +103,7 @@ class SweepCell:
     disagreements: int
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "set_index": self.set_index,
-            "walltime_ns": self.walltime_ns,
-            "relative_time": self.relative_time,
-            "intersection_tests": self.intersection_tests,
-            "edges_tried": self.edges_tried,
-            "exhausted_all": self.exhausted_all,
-            "disagreements": self.disagreements,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepCell":
@@ -133,23 +119,13 @@ class SweepReport:
     cells: tuple[SweepCell, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "meta": self.meta,
-            "baseline_ns": self.baseline_ns,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        return cls(
-            kind=d["kind"],
-            config=BenchConfig.from_dict(d["config"]),
-            meta=d["meta"],
-            baseline_ns=d["baseline_ns"],
-            cells=tuple(SweepCell.from_dict(c) for c in d["cells"]),
-        )
+        return cls(**{**d, "config": BenchConfig.from_dict(d["config"]),
+                      "cells": tuple(SweepCell.from_dict(c)
+                                    for c in d["cells"])})
 
     def total(self, algorithm: str, field_name: str) -> float:
         return sum(getattr(c, field_name) for c in self.cells
@@ -177,22 +153,11 @@ class ExpectationReport:
     seed: int = DEFAULT_SEED
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "expectation",
-            "n_edges": self.n_edges,
-            "sigma": self.sigma,
-            "predicted": self.predicted,
-            "observed_mean_trials": self.observed_mean_trials,
-            "with_replacement_mean_trials": self.with_replacement_mean_trials,
-            "runs": self.runs,
-            "relative_error": self.relative_error,
-            "seed": self.seed,
-        }
+        return {"kind": "expectation", **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExpectationReport":
-        d = {k: v for k, v in d.items() if k != "kind"}
-        return cls(**d)
+        return cls(**{k: v for k, v in d.items() if k != "kind"})
 
 
 @dataclass(frozen=True)
@@ -240,19 +205,8 @@ def _classify_pass(algorithm: str, poly: ConvexPolygon, points: list[Point],
                    policy_seeds: list[int], eps: float):
     """One full classification pass over a point set; returns the
     (classification, stats) pairs. This is also the timed unit."""
-    out = []
-    if algorithm == "improved":
-        for p, s in zip(points, policy_seeds):
-            out.append(classify_improved(poly, p, SeededShuffle(s), eps))
-    elif algorithm == "raycast":
-        for p in points:
-            out.append(classify_raycast(poly, p, eps))
-    elif algorithm == "fan":
-        for p in points:
-            out.append(classify_fan_triangulation(poly, p, eps))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return out
+    classify = CLASSIFIERS[algorithm]
+    return [classify(poly, p, s, eps) for p, s in zip(points, policy_seeds)]
 
 
 def _measure_cells(jobs, cfg: BenchConfig, eps: float,
@@ -314,23 +268,16 @@ def _measure_cells(jobs, cfg: BenchConfig, eps: float,
     baseline = next(c.walltime_ns for c in cells
                     if c.algorithm == "raycast" and c.set_index == 0)
     baseline = max(baseline, 1)
-    cells = [SweepCell(
-        algorithm=c.algorithm,
-        set_index=c.set_index,
-        walltime_ns=c.walltime_ns,
-        relative_time=c.walltime_ns / baseline,
-        intersection_tests=c.intersection_tests,
-        edges_tried=c.edges_tried,
-        exhausted_all=c.exhausted_all,
-        disagreements=c.disagreements,
-    ) for c in cells]
+    cells = [replace(c, relative_time=c.walltime_ns / baseline)
+             for c in cells]
     return cells, baseline
 
 
 def run_point_sweep(poly: ConvexPolygon, cfg: BenchConfig,
                     eps: float = EPS) -> SweepReport:
-    """Classify num_point_sets x points_per_set bounding-box points with all
-    three algorithms, cross-checking every verdict against the oracle."""
+    """Classify num_point_sets x points_per_set bounding-box points with every
+    classifier in CLASSIFIERS, cross-checking every verdict against the
+    oracle."""
     rng = np.random.default_rng(cfg.seed)
     box = bounding_box(poly)
     total = cfg.num_point_sets * cfg.points_per_set
@@ -360,7 +307,7 @@ _POLYGON_SWEEP_TIME_BATCH = 32
 def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
                       radius: float = 100.0, eps: float = EPS) -> SweepReport:
     """One polygon per entry of cfg.polygon_sizes; each set classifies the
-    rule-selected query point with all three algorithms."""
+    rule-selected query point with every classifier in CLASSIFIERS."""
     rng = np.random.default_rng(cfg.seed)
     jobs = []
     for k, nk in enumerate(cfg.polygon_sizes):
@@ -438,24 +385,23 @@ def _near_any_edge(poly: ConvexPolygon, p: Point, threshold: float) -> bool:
     return _ring_scan(poly.vertices, *p, threshold) < 0
 
 
-def _four_way(poly: ConvexPolygon, p: Point, policy_seed: int, eps: float):
-    truth = oracle_classify(poly, p, 0.0)
-    vi, _ = classify_improved(poly, p, SeededShuffle(policy_seed), eps)
-    vr, _ = classify_raycast(poly, p, eps)
-    vf, _ = classify_fan_triangulation(poly, p, eps)
-    return {"improved": vi, "raycast": vr, "fan": vf, "oracle": truth}
+def _verdicts(poly: ConvexPolygon, p: Point, policy_seed: int, eps: float):
+    verdicts = {name: classify(poly, p, policy_seed, eps)[0]
+                for name, classify in CLASSIFIERS.items()}
+    verdicts["oracle"] = oracle_classify(poly, p, 0.0)
+    return verdicts
 
 
 def _minimize_disagreement(poly: ConvexPolygon, p: Point, policy_seed: int,
                            eps: float) -> dict:
-    """Greedy vertex-removal shrink keeping the four-way disagreement."""
+    """Greedy vertex-removal shrink keeping the disagreement."""
 
     def disagrees(vs):
         try:
             cand = validate_convex(vs, eps)
         except PolygonError:
             return None
-        verdicts = _four_way(cand, p, policy_seed, eps)
+        verdicts = _verdicts(cand, p, policy_seed, eps)
         if len(set(verdicts.values())) > 1:
             return cand
         return None
@@ -472,14 +418,15 @@ def _minimize_disagreement(poly: ConvexPolygon, p: Point, policy_seed: int,
                 shrinking = True
                 break
     payload = _disagreement_payload(current, p,
-                                    _four_way(current, p, policy_seed, eps))
+                                    _verdicts(current, p, policy_seed, eps))
     payload["policy_seed"] = policy_seed
     return payload
 
 
 def run_fuzz(cases: int, max_n: int = 256, seed: int = DEFAULT_SEED,
              points_per_polygon: int = 50, eps: float = EPS) -> FuzzResult:
-    """Differential suite: improved vs raycast vs fan vs the exact oracle.
+    """Differential suite: every classifier in CLASSIFIERS against the exact
+    oracle.
 
     Query points are integer lattice points covering the polygon's bounding
     box, skipping the eps-scale band around edges where verdicts are a
@@ -510,7 +457,7 @@ def run_fuzz(cases: int, max_n: int = 256, seed: int = DEFAULT_SEED,
             p = Point(float(ix), float(iy))
             if _near_any_edge(poly, p, 10.0 * eps):
                 continue
-            verdicts = _four_way(poly, p, ps, eps)
+            verdicts = _verdicts(poly, p, ps, eps)
             run += 1
             if len(set(verdicts.values())) == 1:
                 agreed += 1
@@ -522,6 +469,7 @@ def run_fuzz(cases: int, max_n: int = 256, seed: int = DEFAULT_SEED,
     return FuzzResult(run, agreed, None)
 
 
+# The SweepCell fields in order; "set" is set_index.
 _CSV_SWEEP_HEADER = ("algorithm,set,walltime_ns,relative_time,"
                      "intersection_tests,edges_tried,exhausted_all,"
                      "disagreements")
@@ -530,30 +478,25 @@ _CSV_EXPECTATION_HEADER = ("n_edges,sigma,predicted,observed_mean_trials,"
                            "with_replacement_mean_trials,runs,relative_error")
 
 
+def _csv(header: str, rows) -> str:
+    def cell(v):
+        return "" if v is None else v if isinstance(v, str) else repr(v)
+
+    return "\n".join([header] + [",".join(map(cell, row))
+                                 for row in rows]) + "\n"
+
+
 def emit_report(report, fmt: str) -> str:
     """Render a report as csv, json, or (sweeps only) a simple svg chart."""
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2) + "\n"
     if fmt == "csv":
         if isinstance(report, SweepReport):
-            lines = [_CSV_SWEEP_HEADER]
-            for c in report.cells:
-                lines.append(
-                    f"{c.algorithm},{c.set_index},{c.walltime_ns},"
-                    f"{c.relative_time!r},{c.intersection_tests},"
-                    f"{c.edges_tried},{c.exhausted_all},{c.disagreements}")
-            return "\n".join(lines) + "\n"
+            return _csv(_CSV_SWEEP_HEADER, map(astuple, report.cells))
         if isinstance(report, ExpectationReport):
-            r = report
-
-            def cell(v):
-                return "" if v is None else repr(v)
-
-            return (_CSV_EXPECTATION_HEADER + "\n"
-                    + f"{r.n_edges},{r.sigma},{cell(r.predicted)},"
-                      f"{r.observed_mean_trials!r},"
-                      f"{cell(r.with_replacement_mean_trials)},{r.runs},"
-                      f"{cell(r.relative_error)}\n")
+            return _csv(_CSV_EXPECTATION_HEADER,
+                        [[getattr(report, name) for name
+                          in _CSV_EXPECTATION_HEADER.split(",")]])
         raise UnsupportedFormatError(f"cannot render {type(report).__name__} as csv")
     if fmt == "svg":
         if isinstance(report, SweepReport):
@@ -571,7 +514,8 @@ def parse_report(text: str):
     return SweepReport.from_dict(d)
 
 
-_SVG_COLORS = {"improved": "#1f77b4", "raycast": "#d62728", "fan": "#2ca02c"}
+# Legend colours by position in CLASSIFIERS; they repeat past the palette.
+_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e")
 
 
 def _render_svg(report: SweepReport) -> str:
@@ -604,7 +548,7 @@ def _render_svg(report: SweepReport) -> str:
                if c.algorithm == alg]
         pts.sort()
         coords = " ".join(f"{sx(i):.1f},{sy(r):.1f}" for i, r in pts)
-        color = _SVG_COLORS[alg]
+        color = _SVG_COLORS[k % len(_SVG_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{coords}"/>')
         parts.append(f'<text x="{width - pad + 4}" y="{pad + 14 * k}" '

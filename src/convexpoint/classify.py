@@ -299,8 +299,13 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
                                ) -> tuple[Classification, TrialStats]:
     """Linear scan of the fan triangles (V0, Vi, Vi+1), i = 1 .. N-2.
 
-    Shares the boundary pre-check with the other classifiers, so a point on
-    a fan diagonal that survives to the scan is interior. Counters:
+    Shares the boundary pre-check with the other classifiers, so the scan
+    needs no tolerance: every point within eps of an edge is already
+    answered, and a point that survives to the scan is compared with 0.
+    Triangle i holds p iff p is on or left of the spoke V0->Vi, on or left
+    of the edge Vi->Vi+1, and on or right of the spoke V0->Vi+1. Each spoke's
+    side value is computed once and serves both triangles that share it, so
+    a point on a fan diagonal lands in at least one of them. Counters:
     ``intersection_tests`` records every orientation test (pre-check plus
     scan), ``edges_tried`` the number of triangles scanned.
     """
@@ -312,19 +317,17 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
         return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
 
     ox, oy = verts[0]
-    neg = -eps
-    tested = n
+    ax, ay = verts[1]
+    side_a = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    tested = n + 1
     for i in range(1, n - 1):
-        ax, ay = verts[i]
         bx, by = verts[i + 1]
+        side_b = (bx - ox) * (py - oy) - (by - oy) * (px - ox)
         tested += 1
-        if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) < neg:
-            continue
-        tested += 1
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < neg:
-            continue
-        tested += 1
-        if (ox - bx) * (py - by) - (oy - by) * (px - bx) < neg:
-            continue
-        return Classification.INSIDE, TrialStats(i, tested, None, False)
+        if side_a >= 0.0 and side_b <= 0.0:
+            tested += 1
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0:
+                return Classification.INSIDE, TrialStats(i, tested, None,
+                                                         False)
+        ax, ay, side_a = bx, by, side_b
     return Classification.OUTSIDE, TrialStats(n - 2, tested, None, False)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .bench import (
     CENTROID_RULE,
+    CLASSIFIERS,
     NEAR_BOUNDARY_RULE,
     BenchConfig,
     OracleDisagreementError,
@@ -24,14 +25,8 @@ from .bench import (
     run_polygon_sweep,
     trial_expectation_check,
 )
-from .classify import (
-    DEFAULT_SEED,
-    SeededShuffle,
-    classify_fan_triangulation,
-    classify_improved,
-    classify_raycast,
-)
-from .geom import GeometryError, Point, _require_finite
+from .classify import DEFAULT_SEED
+from .geom import EPS, GeometryError, Point, _require_finite
 from .polygon import PolygonError, dump_polygon, load_polygon, random_convex
 
 _RULES = {"centroid": CENTROID_RULE, "near-boundary": NEAR_BOUNDARY_RULE}
@@ -50,13 +45,8 @@ def _parse_point(text: str) -> Point:
 def _cmd_classify(args) -> int:
     poly = load_polygon(args.polygon)
     p = _parse_point(args.point)
-    if args.algorithm == "improved":
-        verdict, stats = classify_improved(poly, p,
-                                           SeededShuffle(args.policy_seed))
-    elif args.algorithm == "raycast":
-        verdict, stats = classify_raycast(poly, p)
-    else:
-        verdict, stats = classify_fan_triangulation(poly, p)
+    verdict, stats = CLASSIFIERS[args.algorithm](poly, p, args.policy_seed,
+                                                 EPS)
     print(verdict.value)
     print(f"edges_tried={stats.edges_tried} "
           f"intersection_tests={stats.intersection_tests}")
@@ -132,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="classify a point against a polygon")
     c.add_argument("polygon", help='polygon JSON file {"vertices": [[x, y], ...]}')
     c.add_argument("--point", required=True, help="query point as 'x,y'")
-    c.add_argument("--algorithm", choices=("improved", "raycast", "fan"),
+    c.add_argument("--algorithm", choices=tuple(CLASSIFIERS),
                    default="improved")
     c.add_argument("--policy-seed", type=int, default=DEFAULT_SEED,
                    help="edge shuffle seed for the improved classifier")

@@ -1,11 +1,10 @@
-"""Robust planar primitives: orientation, line intersection, perpendicular
-feet, segment intersection, on-segment tests, the boundary-and-crossing ring
-scan shared by the classifiers, and band containment.
+"""Planar primitives the classifiers and the polygon module share:
+perpendicular feet, point-to-segment distance, on-segment tests and the
+boundary-and-crossing ring scan.
 
 Everything here runs in plain double precision with a single absolute
 tolerance ``EPS`` (default 1e-9). Predicates that accept ``eps`` interpret it
-as an absolute distance threshold unless noted otherwise; ``orientation``
-compares the raw cross product magnitude against ``eps``.
+as an absolute distance threshold.
 
 All functions are pure; the value types are immutable and safe to share
 across threads.
@@ -13,9 +12,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 EPS = 1e-9
 
@@ -28,66 +25,9 @@ class DegenerateEdgeError(GeometryError):
     """An operation needed two distinct endpoints but got coincident ones."""
 
 
-class InvalidReferenceError(GeometryError):
-    """A band reference point lies on its own line and selects no side."""
-
-
 class Point(NamedTuple):
     x: float
     y: float
-
-
-class Orientation(Enum):
-    COUNTERCLOCKWISE = "ccw"
-    CLOCKWISE = "cw"
-    COLLINEAR = "collinear"
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A closed segment with distinct endpoints.
-
-    The standard constructor rejects zero-length input; a zero-length
-    perpendicular (the one legitimate degenerate case) must be built
-    explicitly with :meth:`zero_length`.
-    """
-
-    p: Point
-    q: Point
-
-    def __post_init__(self) -> None:
-        _require_finite(self.p.x, self.p.y, self.q.x, self.q.y)
-        if self.p == self.q:
-            raise DegenerateEdgeError(
-                f"segment endpoints coincide at {self.p}; "
-                "use Segment.zero_length for an intentional degenerate segment"
-            )
-
-    @classmethod
-    def zero_length(cls, at: Point) -> "Segment":
-        _require_finite(at.x, at.y)
-        seg = object.__new__(cls)
-        object.__setattr__(seg, "p", at)
-        object.__setattr__(seg, "q", at)
-        return seg
-
-    @property
-    def is_zero_length(self) -> bool:
-        return self.p == self.q
-
-
-@dataclass(frozen=True)
-class DirLine:
-    """An infinite line in point-direction form: base + t * (dx, dy)."""
-
-    base: Point
-    dx: float
-    dy: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.base.x, self.base.y, self.dx, self.dy)
-        if self.dx == 0.0 and self.dy == 0.0:
-            raise GeometryError("direction vector must be nonzero")
 
 
 def _require_finite(*values: float) -> None:
@@ -99,32 +39,6 @@ def _require_finite(*values: float) -> None:
 def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
     # z-component of (a - o) x (b - o)
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def orientation(a: Point, b: Point, c: Point, eps: float = EPS) -> Orientation:
-    """Turn direction of the triple (a, b, c).
-
-    Cross product magnitudes at or below ``eps`` report COLLINEAR.
-    """
-    d = _cross(a.x, a.y, b.x, b.y, c.x, c.y)
-    if d > eps:
-        return Orientation.COUNTERCLOCKWISE
-    if d < -eps:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
-
-
-def line_intersection(l1: DirLine, l2: DirLine, eps: float = EPS) -> Optional[Point]:
-    """Intersection point of two lines, or None when they are parallel
-    (including coincident) within ``eps``.
-    """
-    denom = l2.dy * l1.dx - l1.dy * l2.dx
-    if abs(denom) <= eps:
-        return None
-    bx = l2.base.x - l1.base.x
-    by = l2.base.y - l1.base.y
-    t = (bx * l2.dy - by * l2.dx) / denom
-    return Point(l1.base.x + t * l1.dx, l1.base.y + t * l1.dy)
 
 
 def perpendicular_foot(p: Point, a: Point, b: Point) -> Point:
@@ -187,88 +101,3 @@ def _ring_scan(ring, px: float, py: float, eps: float) -> int:
             if ax + (py - ay) * (bx - ax) / (by - ay) > px:
                 crossings += 1
     return crossings
-
-
-def point_on_segment(p: Point, s: Segment, eps: float = EPS) -> bool:
-    """True iff ``p`` lies within ``eps`` of the closed segment ``s``."""
-    return _dist_point_segment(p.x, p.y, s.p.x, s.p.y, s.q.x, s.q.y) <= eps
-
-
-def segments_intersect(s1: Segment, s2: Segment, eps: float = EPS) -> bool:
-    """Closed-segment intersection test.
-
-    Endpoint touches and collinear overlaps count as intersections. A
-    zero-length segment intersects the other iff its point lies on it.
-    """
-    if s1.is_zero_length:
-        return _dist_point_segment(s1.p.x, s1.p.y, s2.p.x, s2.p.y,
-                                   s2.q.x, s2.q.y) <= eps
-    if s2.is_zero_length:
-        return _dist_point_segment(s2.p.x, s2.p.y, s1.p.x, s1.p.y,
-                                   s1.q.x, s1.q.y) <= eps
-
-    p1, q1, p2, q2 = s1.p, s1.q, s2.p, s2.q
-
-    o1 = orientation(p1, q1, p2, eps)
-    o2 = orientation(p1, q1, q2, eps)
-    o3 = orientation(p2, q2, p1, eps)
-    o4 = orientation(p2, q2, q1, eps)
-
-    if (o1 is not o2
-            and o1 is not Orientation.COLLINEAR
-            and o2 is not Orientation.COLLINEAR
-            and o3 is not o4
-            and o3 is not Orientation.COLLINEAR
-            and o4 is not Orientation.COLLINEAR):
-        return True
-
-    if o1 is Orientation.COLLINEAR and _on_segment_coords(
-            p2.x, p2.y, p1.x, p1.y, q1.x, q1.y, eps):
-        return True
-    if o2 is Orientation.COLLINEAR and _on_segment_coords(
-            q2.x, q2.y, p1.x, p1.y, q1.x, q1.y, eps):
-        return True
-    if o3 is Orientation.COLLINEAR and _on_segment_coords(
-            p1.x, p1.y, p2.x, p2.y, q2.x, q2.y, eps):
-        return True
-    if o4 is Orientation.COLLINEAR and _on_segment_coords(
-            q1.x, q1.y, p2.x, p2.y, q2.x, q2.y, eps):
-        return True
-    return False
-
-
-def side_of_line(p: Point, l: DirLine, eps: float = EPS) -> Orientation:
-    """Side of ``p`` relative to the directed line ``l``.
-
-    Points within distance ``eps`` of the line report COLLINEAR; otherwise
-    the sign of dir x (p - base) decides.
-    """
-    cr = l.dx * (p.y - l.base.y) - l.dy * (p.x - l.base.x)
-    band = eps * math.hypot(l.dx, l.dy)
-    if cr > band:
-        return Orientation.COUNTERCLOCKWISE
-    if cr < -band:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
-
-
-def band_contains(p: Point, l1: DirLine, l2: DirLine,
-                  ref1: Point, ref2: Point, eps: float = EPS) -> bool:
-    """True iff ``p`` is in the closed intersection of the half-plane of
-    ``l1`` containing ``ref1`` and the half-plane of ``l2`` containing
-    ``ref2``.
-
-    The reference points must lie strictly off their lines; they pick the
-    side of each half-plane without any slope case analysis.
-    """
-    s1 = side_of_line(ref1, l1, eps)
-    if s1 is Orientation.COLLINEAR:
-        raise InvalidReferenceError(f"ref1 {ref1} lies on l1")
-    s2 = side_of_line(ref2, l2, eps)
-    if s2 is Orientation.COLLINEAR:
-        raise InvalidReferenceError(f"ref2 {ref2} lies on l2")
-    p1 = side_of_line(p, l1, eps)
-    if p1 is not s1 and p1 is not Orientation.COLLINEAR:
-        return False
-    p2 = side_of_line(p, l2, eps)
-    return p2 is s2 or p2 is Orientation.COLLINEAR

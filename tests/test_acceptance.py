@@ -34,20 +34,15 @@ from convexpoint.bench import (
     trial_expectation_check,
 )
 from convexpoint.classify import SeededShuffle, classify_improved
-from convexpoint.geom import (
-    DirLine,
-    Orientation,
-    Point,
-    band_contains,
-    perpendicular_foot,
-    side_of_line,
-)
+from convexpoint.geom import Point, perpendicular_foot
 from convexpoint.polygon import (
     Classification,
     bounding_box,
     random_convex,
     sigma,
 )
+
+from bandgeom import DirLine, Orientation, band_contains, side_of_line
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "..", "build",
                             "acceptance-reports")

@@ -17,7 +17,7 @@ from convexpoint.classify import (
     edge_order,
     legality_test,
 )
-from convexpoint.geom import GeometryError, Point
+from convexpoint.geom import EPS, GeometryError, Point
 from convexpoint.polygon import (
     Classification,
     adjacent_quad,
@@ -306,6 +306,31 @@ class TestClassifyFan:
         p = Point(v0.x + 0.5 * (v4.x - v0.x), v0.y + 0.5 * (v4.y - v0.y))
         verdict, _ = classify_fan_triangulation(poly, p)
         assert verdict is Classification.INSIDE
+
+    def test_just_outside_every_edge(self):
+        # 2 eps past the edge midpoint: clear of the boundary pre-check, so
+        # the scan decides, and no fan triangle may reach across the edge
+        poly = regular_ngon(64)
+        v = poly.vertices
+        for k in range(poly.n):
+            a, b = v[k], v[(k + 1) % poly.n]
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            p = Point((a.x + b.x) / 2 + 2 * EPS * (b.y - a.y) / length,
+                      (a.y + b.y) / 2 - 2 * EPS * (b.x - a.x) / length)
+            verdict, _ = classify_fan_triangulation(poly, p)
+            assert verdict is Classification.OUTSIDE, k
+
+    def test_interior_points_on_every_spoke_at_large_radius(self):
+        # a point on the spoke V0 -> Vk must land in one of the two fan
+        # triangles that share it, however the spoke's side value rounds
+        poly = regular_ngon(1000, radius=1e6)
+        v0 = poly.vertices[0]
+        for k in range(2, poly.n - 1):
+            vk = poly.vertices[k]
+            for t in (0.25, 0.5, 0.75):
+                p = Point(v0.x + t * (vk.x - v0.x), v0.y + t * (vk.y - v0.y))
+                verdict, _ = classify_fan_triangulation(poly, p)
+                assert verdict is Classification.INSIDE, (k, t)
 
 
 class TestNonFinitePoint:

@@ -17,13 +17,15 @@ from convexpoint.classify import (
     classify_quad,
     legality_test,
 )
-from convexpoint.geom import Point, Segment, perpendicular_foot, segments_intersect
+from convexpoint.geom import Point, perpendicular_foot
 from convexpoint.polygon import (
     Classification,
     adjacent_quad,
     oracle_classify,
     validate_convex,
 )
+
+from bandgeom import Segment, segments_intersect
 
 HEXAGON = validate_convex([(0, 0), (1, 0), (1.05, 0.1), (1.3, 0.9),
                            (1.2, 2.2), (-1, 3)])

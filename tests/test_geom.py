@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 
 from convexpoint.geom import (
     DegenerateEdgeError,
-    DirLine,
     GeometryError,
+    Point,
+    perpendicular_foot,
+)
+
+from bandgeom import (
+    DirLine,
     InvalidReferenceError,
     Orientation,
-    Point,
     Segment,
     band_contains,
     line_intersection,
     orientation,
-    perpendicular_foot,
     point_on_segment,
     segments_intersect,
     side_of_line,
