@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,13 @@ from .geom import (
     _ring_scan,
     perpendicular_foot,
 )
-from .polygon import Classification, ConvexPolygon, Quad, adjacent_quad
+from .polygon import (
+    Classification,
+    ConvexPolygon,
+    Quad,
+    _admission_mask,
+    adjacent_quad,
+)
 
 DEFAULT_SEED = 1729
 
@@ -89,10 +95,13 @@ _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 # Knuth's MMIX LCG; only the high bits of its state pick swap positions.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
-# Positions a seeded order draws one at a time before it shuffles the rest
-# in bulk. Exterior queries admit within a few trials and rarely reach the
-# bulk shuffle, whose fixed cost is about that of 16 lazy draws, so a query
-# that does reach it pays at most about twice the cheapest split.
+# Positions a query tries one at a time, and a seeded order draws one at a
+# time, before the query tests every edge in one vectorised step (and, if
+# an edge admits, shuffles the rest of the order in bulk). Exterior queries
+# admit within a few trials and rarely get past them. The 16 trials with
+# their draws cost about as much as the vectorised step (each 5-14 us up to
+# N = 2000 on a shared 2-vCPU Xeon), so a query that gets past them pays at
+# most about twice the cheapest split.
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
@@ -123,7 +132,7 @@ def _lazy_draws(seed: int, n: int, moved: dict[int, int]) -> Iterator[int]:
         yield out
 
 
-def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> list[int]:
+def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> np.ndarray:
     # The positions past the lazy draws hold the unvisited edges; one numpy
     # shuffle of them completes a uniform permutation. Resetting a
     # thread-local PCG64's state is a pure function of the seed and several
@@ -145,31 +154,34 @@ def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> list[int]:
         if j >= _LAZY_DRAWS:
             rest[j - _LAZY_DRAWS] = v
     gen.shuffle(rest)
-    return rest.tolist()
+    return rest
 
 
-def _seeded_parts(seed: int, n: int) -> Iterator[Iterable[int]]:
-    # Chained, the parts are a uniform permutation of range(n). The bulk
-    # part is built only when a caller reads past the lazy draws.
-    moved: dict[int, int] = {}
-    yield _lazy_draws(seed, n, moved)
-    if n > _LAZY_DRAWS:
-        yield _bulk_rest(seed, n, moved)
-
-
-def _visit_order(policy: EdgeOrderPolicy, n: int) -> Iterable[int]:
+def _order_parts(policy: EdgeOrderPolicy, n: int
+                 ) -> tuple[Iterable[int], Callable[[], np.ndarray]]:
+    # The policy's order as its first min(n, _LAZY_DRAWS) edges and a
+    # callable that builds the remaining positions as an array. Call it only
+    # when n > _LAZY_DRAWS and after the whole prefix has been read: a seeded
+    # prefix records its swaps in ``moved`` as it is drawn.
     if isinstance(policy, SeededShuffle):
-        return chain.from_iterable(_seeded_parts(policy.seed, n))
+        moved: dict[int, int] = {}
+        return (_lazy_draws(policy.seed, n, moved),
+                partial(_bulk_rest, policy.seed, n, moved))
     if isinstance(policy, Sequential):
         s = policy.start % n
-        return chain(range(s, n), range(s))
+        return ([(s + i) % n for i in range(min(n, _LAZY_DRAWS))],
+                lambda: (s + np.arange(_LAZY_DRAWS, n)) % n)
     raise TypeError(f"unknown edge order policy: {policy!r}")
 
 
 def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
     """The complete edge order that ``classify_improved`` visits under
     ``policy``; a query reads only the prefix up to its admitting edge."""
-    return list(_visit_order(policy, n))
+    prefix, rest = _order_parts(policy, n)
+    order = list(prefix)
+    if n > _LAZY_DRAWS:
+        order += rest().tolist()
+    return order
 
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point,
@@ -230,6 +242,16 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int,
     return _quad_verdict(_ring_scan(ring, px, py, eps), n_polygon)
 
 
+def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
+              py: float, eps: float) -> tuple[Classification, TrialStats]:
+    # Edge i admits the point, so the quad ring (a, b, d, c) around it
+    # answers for the whole polygon.
+    n = len(verts)
+    ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n], verts[i - 1])
+    verdict = _quad_verdict(_ring_scan(ring, px, py, eps), n)
+    return verdict, TrialStats(tried, tried + 4, i, False)
+
+
 def classify_improved(poly: ConvexPolygon, p: Point,
                       policy: Optional[EdgeOrderPolicy] = None,
                       eps: float = EPS) -> tuple[Classification, TrialStats]:
@@ -238,8 +260,12 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     Tries edges in the policy order; the first admitting edge reduces the
     problem to its quad. When every edge rejects, the point sits on the
     polygon side of every neighbor chord, which only happens inside, so the
-    verdict is INSIDE with ``exhausted_all`` set. A seeded order is drawn
-    lazily, so a query that admits early pays only for the edges it tries.
+    verdict is INSIDE with ``exhausted_all`` set. The first
+    ``_LAZY_DRAWS`` edges of the order are tried one at a time, so a query
+    that admits early pays only for the edges it tries. A query that gets
+    past them tests every edge in one vectorised step; only when some edge
+    admits does it build the rest of the order, to find the first admitting
+    edge in it. The counters are those of trying the edges one at a time.
     """
     px, py = p
     _require_finite(px, py)
@@ -247,12 +273,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         policy = SeededShuffle(DEFAULT_SEED)
     verts = poly.vertices
     n = len(verts)
-    order = _visit_order(policy, n)
+    prefix, rest = _order_parts(policy, n)
     tried = 0
 
     if n == 3:
-        # The quad of a triangle is the triangle itself.
-        for idx in order:
+        # The quad of a triangle is the triangle itself; the prefix is the
+        # whole order.
+        for idx in prefix:
             tried += 1
             if legality_test(poly, idx, p, eps).legal:
                 verdict = _quad_verdict(_ring_scan(verts, px, py, eps), n)
@@ -261,14 +288,20 @@ def classify_improved(poly: ConvexPolygon, p: Point,
 
     chords = poly.chords
     neg = -eps
-    for idx in order:
+    for idx in prefix:
         tried += 1
         cx, cy, ux, uy = chords[idx]
         if ux * (py - cy) - uy * (px - cx) < neg:
-            ring = (verts[idx], verts[(idx + 1) % n], verts[(idx + 2) % n],
-                    verts[idx - 1])
-            verdict = _quad_verdict(_ring_scan(ring, px, py, eps), n)
-            return verdict, TrialStats(tried, tried + 4, idx, False)
+            return _admitted(verts, idx, tried, px, py, eps)
+    if n > _LAZY_DRAWS:
+        # The prefix edges reject in the mask too, so any admitting edge is
+        # in the rest; a point that none admits (sigma = 0) needs no order.
+        mask = _admission_mask(poly, px, py, eps)
+        if mask.any():
+            order = rest()
+            pos = int(mask[order].argmax())
+            return _admitted(verts, int(order[pos]), tried + pos + 1,
+                             px, py, eps)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 
 
@@ -305,9 +338,14 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
     Triangle i holds p iff p is on or left of the spoke V0->Vi, on or left
     of the edge Vi->Vi+1, and on or right of the spoke V0->Vi+1. Each spoke's
     side value is computed once and serves both triangles that share it, so
-    a point on a fan diagonal lands in at least one of them. Counters:
-    ``intersection_tests`` records every orientation test (pre-check plus
-    scan), ``edges_tried`` the number of triangles scanned.
+    a point on a fan diagonal lands in at least one of them. The two spoke
+    tests alone place p in the wedge between the spokes V0->Vi and V0->Vi+1,
+    which the polygon meets only in triangle i, so when the edge test then
+    rejects, p is outside and the scan stops there. Counters:
+    ``intersection_tests`` records every orientation test done (pre-check
+    plus scan), ``edges_tried`` the number of triangles scanned: up to the
+    one that holds p, up to the wedge p lies in, or all N-2 for a point
+    outside the angle at V0.
     """
     verts = poly.vertices
     n = len(verts)
@@ -326,8 +364,9 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
         tested += 1
         if side_a >= 0.0 and side_b <= 0.0:
             tested += 1
+            stats = TrialStats(i, tested, None, False)
             if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0:
-                return Classification.INSIDE, TrialStats(i, tested, None,
-                                                         False)
+                return Classification.INSIDE, stats
+            return Classification.OUTSIDE, stats
         ax, ay, side_a = bx, by, side_b
     return Classification.OUTSIDE, TrialStats(n - 2, tested, None, False)

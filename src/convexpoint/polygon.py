@@ -75,6 +75,13 @@ class ConvexPolygon:
         return tuple((c.x, c.y, d.x - c.x, d.y - c.y)
                      for c, d in zip(v[-1:] + v[:-1], v[2:] + v[:2]))
 
+    @cached_property
+    def chord_columns(self) -> np.ndarray:
+        """The chord table as a contiguous (4, N) float64 array whose rows
+        are the columns ``cx, cy, ux, uy``, built on first use; see
+        ``_admission_mask``."""
+        return np.array(self.chords, dtype=np.float64).T.copy()
+
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
         ys = sum(v.y for v in self.vertices)
@@ -259,19 +266,28 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     return Classification.INSIDE
 
 
+def _admission_mask(poly: ConvexPolygon, px: float, py: float,
+                    eps: float) -> np.ndarray:
+    """Per edge, whether it admits ``(px, py)``: the chord-side test of
+    ``ConvexPolygon.chords`` over all edges at once. numpy evaluates the
+    same float64 operations one at a time, without fusing them, so entry i
+    equals the scalar test of edge i bit for bit. Meaningless for a
+    triangle, whose chords collapse to the apex."""
+    cx, cy, ux, uy = poly.chord_columns
+    return ux * (py - cy) - uy * (px - cx) < -eps
+
+
 def sigma(poly: ConvexPolygon, p: Point, eps: float = EPS) -> int:
     """Number of edges whose perpendicular passes the legality test for
     ``p``, counted by exhaustive scan over all N edges with the admission
-    test of ``classify_improved``: the chord table, or for a triangle
+    test of ``classify_improved``: ``_admission_mask``, or for a triangle
     ``legality_test``."""
     if poly.n == 3:
         from .classify import legality_test  # deferred: classify builds on this module
 
         return sum(1 for i in range(3) if legality_test(poly, i, p, eps).legal)
     px, py = p
-    neg = -eps
-    return sum(1 for cx, cy, ux, uy in poly.chords
-               if ux * (py - cy) - uy * (px - cx) < neg)
+    return int(np.count_nonzero(_admission_mask(poly, px, py, eps)))
 
 
 def polygon_to_dict(poly: ConvexPolygon) -> dict:

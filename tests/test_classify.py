@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import convexpoint.classify as classify_module
 from convexpoint.classify import (
     _LAZY_DRAWS,
     SeededShuffle,
     Sequential,
+    TrialStats,
     classify_fan_triangulation,
     classify_improved,
     classify_quad,
@@ -216,21 +218,49 @@ class TestClassifyImproved:
                 assert st.edges_tried <= n
 
     def test_legal_edge_position_matches_policy_order(self):
-        # 40 and 300 edges reach past the lazy draws into the bulk order
-        for n, seed in [(12, 8), (40, 9), (300, 10)]:
+        # 40 edges and more reach past the lazy draws into the vector step
+        # and the bulk order; points just inside or outside an edge are
+        # admitted by few edges, so their admitting edge usually lies there
+        for n, seed in [(12, 8), (40, 9), (300, 10), (1000, 11), (2000, 12)]:
             poly = random_convex(n, seed=seed, radius=10)
             rng = np.random.default_rng(3)
-            for p in lattice_probe_points(poly, rng, 40):
-                policy = SeededShuffle(21)
-                _, st = classify_improved(poly, p, policy)
-                if st.legal_edge is not None:
-                    order = edge_order(policy, poly.n)
+            points = lattice_probe_points(poly, rng, 40)
+            v = poly.vertices
+            for k in rng.integers(0, n, 8).tolist():
+                a, b = v[k], v[(k + 1) % n]
+                length = math.hypot(b.x - a.x, b.y - a.y)
+                for off in (2 * EPS, -2 * EPS, 1e-5, -1e-5):
+                    points.append(
+                        Point((a.x + b.x) / 2 + off * (b.y - a.y) / length,
+                              (a.y + b.y) / 2 - off * (b.x - a.x) / length))
+            # Sequential(n - 5) wraps past edge n - 1 within the prefix
+            for policy in (SeededShuffle(21), Sequential(n - 5)):
+                order = edge_order(policy, poly.n)
+                for p in points:
+                    _, st = classify_improved(poly, p, policy)
+                    if st.legal_edge is None:
+                        continue
                     assert order[st.edges_tried - 1] == st.legal_edge
-                    # the reported edge passes the admission test in isolation
+                    # the reported edge passes the admission test in
+                    # isolation
                     assert legality_test(poly, st.legal_edge, p).legal
                     # and every edge tried before it rejects
                     assert not any(legality_test(poly, e, p).legal
                                    for e in order[:st.edges_tried - 1])
+
+    def test_sigma_zero_never_builds_the_bulk_order(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("bulk order built for a sigma = 0 query")
+
+        monkeypatch.setattr(classify_module, "_bulk_rest", fail)
+        for n in (_LAZY_DRAWS + 1, 100, 2000):
+            poly = regular_ngon(n)
+            assert sigma(poly, Point(0, 0)) == 0
+            for seed in range(5):
+                verdict, stats = classify_improved(poly, Point(0, 0),
+                                                   SeededShuffle(seed))
+                assert verdict is Classification.INSIDE
+                assert stats == TrialStats(n, n, None, True)
 
     def test_policy_invariance(self):
         rng = np.random.default_rng(5)
@@ -319,6 +349,28 @@ class TestClassifyFan:
                       (a.y + b.y) / 2 - 2 * EPS * (b.x - a.x) / length)
             verdict, _ = classify_fan_triangulation(poly, p)
             assert verdict is Classification.OUTSIDE, k
+
+    def test_outside_point_in_a_wedge_stops_there(self):
+        # a point in the wedge between spokes V0->Vi and V0->Vi+1 that the
+        # edge Vi->Vi+1 rejects is outside; the scan stops at that wedge
+        poly = regular_ngon(1000)
+        n = poly.n
+        v0, v1, vlast = poly.vertices[0], poly.vertices[1], poly.vertices[-2]
+        rng = np.random.default_rng(41)
+        stopped = 0
+        for x, y in rng.uniform(-1.2, 1.2, (2000, 2)):
+            p = Point(float(x), float(y))
+            verdict, stats = classify_fan_triangulation(poly, p)
+            assert verdict is classify_raycast(poly, p)[0]
+            # strictly inside the wedges of triangles 1 .. n - 3
+            in_wedge = ((v1.x - v0.x) * (p.y - v0.y)
+                        - (v1.y - v0.y) * (p.x - v0.x) > 0
+                        and (vlast.x - v0.x) * (p.y - v0.y)
+                        - (vlast.y - v0.y) * (p.x - v0.x) < 0)
+            if verdict is Classification.OUTSIDE and in_wedge:
+                assert stats.edges_tried < n - 2, p
+                stopped += 1
+        assert stopped > 0
 
     def test_interior_points_on_every_spoke_at_large_radius(self):
         # a point on the spoke V0 -> Vk must land in one of the two fan
