@@ -27,7 +27,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class Sequential:
 EdgeOrderPolicy = Union[SeededShuffle, Sequential]
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Per-call instrumentation.
 
     ``edges_tried`` is the number of admission trials, ``intersection_tests``
@@ -97,11 +96,12 @@ _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, and a seeded order draws one at a
 # time, before the query tests every edge in one vectorised step (and, if
-# an edge admits, shuffles the rest of the order in bulk). Exterior queries
-# admit within a few trials and rarely get past them. The 16 trials with
-# their draws cost about as much as the vectorised step (each 5-14 us up to
-# N = 2000 on a shared 2-vCPU Xeon), so a query that gets past them pays at
-# most about twice the cheapest split.
+# an edge admits, shuffles the rest of the order in bulk). Exterior and
+# near-boundary queries admit within a few trials and rarely get past them.
+# Fewer trials do not pay: at 8, the queries that admit at trials 9-16 also
+# paid for the vectorised step, and exterior p99 rose 1.8-1.9x. Points deep
+# inside, where no edge admits, skip the trials instead through the kernel
+# disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
@@ -157,26 +157,31 @@ def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> np.ndarray:
     return rest
 
 
+def _require_policy(policy: object) -> None:
+    if not isinstance(policy, (SeededShuffle, Sequential)):
+        raise TypeError(f"unknown edge order policy: {policy!r}")
+
+
 def _order_parts(policy: EdgeOrderPolicy, n: int
                  ) -> tuple[Iterable[int], Callable[[], np.ndarray]]:
     # The policy's order as its first min(n, _LAZY_DRAWS) edges and a
     # callable that builds the remaining positions as an array. Call it only
     # when n > _LAZY_DRAWS and after the whole prefix has been read: a seeded
-    # prefix records its swaps in ``moved`` as it is drawn.
+    # prefix records its swaps in ``moved`` as it is drawn. The caller has
+    # checked the policy with ``_require_policy``.
     if isinstance(policy, SeededShuffle):
         moved: dict[int, int] = {}
         return (_lazy_draws(policy.seed, n, moved),
                 partial(_bulk_rest, policy.seed, n, moved))
-    if isinstance(policy, Sequential):
-        s = policy.start % n
-        return ([(s + i) % n for i in range(min(n, _LAZY_DRAWS))],
-                lambda: (s + np.arange(_LAZY_DRAWS, n)) % n)
-    raise TypeError(f"unknown edge order policy: {policy!r}")
+    s = policy.start % n
+    return ([(s + i) % n for i in range(min(n, _LAZY_DRAWS))],
+            lambda: (s + np.arange(_LAZY_DRAWS, n)) % n)
 
 
 def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
     """The complete edge order that ``classify_improved`` visits under
     ``policy``; a query reads only the prefix up to its admitting edge."""
+    _require_policy(policy)
     prefix, rest = _order_parts(policy, n)
     order = list(prefix)
     if n > _LAZY_DRAWS:
@@ -265,27 +270,40 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     that admits early pays only for the edges it tries. A query that gets
     past them tests every edge in one vectorised step; only when some edge
     admits does it build the rest of the order, to find the first admitting
-    edge in it. The counters are those of trying the edges one at a time.
+    edge in it. A point strictly inside ``poly.kernel_disk``, which no edge
+    admits up to rounding, runs the vectorised step first; when no edge
+    admits it, the answer is INSIDE without building any order, and
+    otherwise the query goes on as above with that step's result. The disk
+    only orders the work: every INSIDE from exhaustion comes from testing
+    all N edges. The counters are those of trying the edges one at a time.
     """
     px, py = p
     _require_finite(px, py)
     if policy is None:
         policy = SeededShuffle(DEFAULT_SEED)
+    _require_policy(policy)
     verts = poly.vertices
     n = len(verts)
-    prefix, rest = _order_parts(policy, n)
     tried = 0
 
     if n == 3:
         # The quad of a triangle is the triangle itself; the prefix is the
         # whole order.
-        for idx in prefix:
+        for idx in _order_parts(policy, n)[0]:
             tried += 1
             if legality_test(poly, idx, p, eps).legal:
                 verdict = _quad_verdict(_ring_scan(verts, px, py, eps), n)
                 return verdict, TrialStats(tried, tried + 3, idx, False)
         return Classification.INSIDE, TrialStats(n, n, None, True)
 
+    mask = None
+    ox, oy, r2 = poly.kernel_disk
+    dx, dy = px - ox, py - oy
+    if dx * dx + dy * dy < r2:
+        mask = _admission_mask(poly, px, py, eps)
+        if not mask.any():
+            return Classification.INSIDE, TrialStats(n, n, None, True)
+    prefix, rest = _order_parts(policy, n)
     chords = poly.chords
     neg = -eps
     for idx in prefix:
@@ -296,7 +314,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
         # in the rest; a point that none admits (sigma = 0) needs no order.
-        mask = _admission_mask(poly, px, py, eps)
+        if mask is None:
+            mask = _admission_mask(poly, px, py, eps)
         if mask.any():
             order = rest()
             pos = int(mask[order].argmax())

@@ -82,6 +82,25 @@ class ConvexPolygon:
         ``_admission_mask``."""
         return np.array(self.chords, dtype=np.float64).T.copy()
 
+    @cached_property
+    def kernel_disk(self) -> tuple[float, float, float]:
+        """``(ox, oy, r2)``: the vertex centroid and the squared smallest
+        distance from it to the chord lines, measured toward their inner
+        side, built on first use. A point strictly inside this disk lies on
+        the inner side of every chord, so up to rounding no edge admits it.
+        ``r2`` is -1, an empty disk, when the centroid is not strictly on
+        the inner side of every chord; that always holds for a triangle,
+        whose chords collapse to a vertex, for a square, whose chords are
+        its edges reversed, and for a pentagon.
+        """
+        o = self.centroid()
+        if self.n == 3:
+            return o.x, o.y, -1.0
+        cx, cy, ux, uy = self.chord_columns
+        r = float(((ux * (o.y - cy) - uy * (o.x - cx))
+                   / np.hypot(ux, uy)).min())
+        return o.x, o.y, r * r if r > 0.0 else -1.0
+
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
         ys = sum(v.y for v in self.vertices)

@@ -22,6 +22,7 @@ from convexpoint.classify import (
 from convexpoint.geom import EPS, GeometryError, Point
 from convexpoint.polygon import (
     Classification,
+    ConvexPolygon,
     adjacent_quad,
     bounding_box,
     oracle_classify,
@@ -255,12 +256,46 @@ class TestClassifyImproved:
         monkeypatch.setattr(classify_module, "_bulk_rest", fail)
         for n in (_LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
-            assert sigma(poly, Point(0, 0)) == 0
-            for seed in range(5):
-                verdict, stats = classify_improved(poly, Point(0, 0),
-                                                   SeededShuffle(seed))
-                assert verdict is Classification.INSIDE
-                assert stats == TrialStats(n, n, None, True)
+            # the chord lines bound a regular n-gon with the kernel disk as
+            # its incircle; halfway out toward one of its corners (direction
+            # V0) no edge admits, but the point is outside the disk, so it
+            # goes through the lazy prefix first
+            r = math.sqrt(poly.kernel_disk[2])
+            corner = Point(r * (1 + 0.5 * (1 / math.cos(math.pi / n) - 1)),
+                           0.0)
+            assert corner.x > r
+            for p in (Point(0, 0), corner):
+                assert sigma(poly, p) == 0
+                for seed in range(5):
+                    verdict, stats = classify_improved(poly, p,
+                                                       SeededShuffle(seed))
+                    assert verdict is Classification.INSIDE
+                    assert stats == TrialStats(n, n, None, True)
+
+    def test_deep_sigma_zero_draws_no_order(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("edge order built for a point in the disk")
+
+        monkeypatch.setattr(classify_module, "_order_parts", fail)
+        for n in (12, _LAZY_DRAWS + 1, 100, 2000):
+            poly = regular_ngon(n)
+            ox, oy, r2 = poly.kernel_disk
+            r = math.sqrt(r2)
+            deep = [Point(ox, oy)] + [
+                Point(ox + 0.5 * r * math.cos(t), oy + 0.5 * r * math.sin(t))
+                for t in (0.3, 2.0, 4.4)]
+            for p in deep:
+                for policy in (SeededShuffle(3), Sequential(n // 3)):
+                    verdict, stats = classify_improved(poly, p, policy)
+                    assert verdict is Classification.INSIDE
+                    assert stats == TrialStats(n, n, None, True)
+
+    def test_unknown_policy_rejected_for_every_point(self):
+        for poly in (TRIANGLE, SQUARE, regular_ngon(12), regular_ngon(100)):
+            ox, oy, _ = poly.kernel_disk
+            for p in (Point(ox, oy), poly.vertices[1]):
+                with pytest.raises(TypeError):
+                    classify_improved(poly, p, object())
 
     def test_policy_invariance(self):
         rng = np.random.default_rng(5)
@@ -288,6 +323,99 @@ class TestClassifyImproved:
                     if legality_test(poly, i, p).legal:
                         got = classify_quad(adjacent_quad(poly, i), p, n)
                         assert got is truth
+
+
+def _scaled_convex(n, seed, radius):
+    # random_convex cannot build large n at small radius (its validator
+    # compares a raw cross product with eps), so scale a unit polygon
+    return ConvexPolygon(tuple(Point(radius * v.x, radius * v.y)
+                               for v in random_convex(n, seed).vertices))
+
+
+def _with_disk(poly, r2):
+    # the same polygon with its kernel disk replaced by one of squared
+    # radius r2 around the same centre
+    ox, oy, _ = poly.kernel_disk
+    copy = ConvexPolygon(poly.vertices)
+    copy.__dict__["kernel_disk"] = (ox, oy, r2)
+    return copy
+
+
+class TestKernelDisk:
+    def test_points_on_the_circle_are_admitted_by_no_edge(self):
+        for n in (12, 100, 2000):
+            for radius in (1e-2, 1.0, 1e6):
+                poly = _scaled_convex(n, n + 7, radius)
+                ox, oy, r2 = poly.kernel_disk
+                assert r2 > 0
+                r = (1 - 1e-9) * math.sqrt(r2)
+                for k in range(64):
+                    t = 2 * math.pi * k / 64
+                    p = Point(ox + r * math.cos(t), oy + r * math.sin(t))
+                    assert sigma(poly, p) == 0, (n, radius, k)
+                    assert classify_improved(poly, p)[1] == \
+                        TrialStats(n, n, None, True)
+
+    def test_matches_a_scalar_loop_over_the_chords(self):
+        for n, seed in [(7, 81), (12, 82), (100, 83)]:
+            poly = random_convex(n, seed, radius=40)
+            o = poly.centroid()
+            r = min((ux * (o.y - cy) - uy * (o.x - cx)) / math.hypot(ux, uy)
+                    for cx, cy, ux, uy in poly.chords)
+            ox, oy, r2 = poly.kernel_disk
+            assert (ox, oy) == (o.x, o.y)
+            assert r > 0 and r2 == pytest.approx(r * r, rel=1e-12)
+
+    def test_triangles_squares_and_pentagons_get_an_empty_disk(self):
+        # A triangle's chords collapse to a vertex and a square's are its
+        # edges reversed. In a pentagon the inner sides of the chords of
+        # edges 1 and 3 hold the triangles V0V1V2 and V3V4V0, which meet
+        # only at V0.
+        polys = [TRIANGLE, SQUARE]
+        polys += [random_convex(n, seed, radius=5)
+                  for n in (3, 4, 5) for seed in range(20)]
+        for poly in polys:
+            assert poly.kernel_disk[2] == -1.0
+
+    def test_raw_constructor_compares_and_hashes_as_before(self):
+        verts = random_convex(9, seed=56, radius=3).vertices
+        a, b = ConvexPolygon(verts), ConvexPolygon(verts)
+        h, r = hash(a), repr(a)
+        assert a.kernel_disk[2] > 0
+        assert a == b and b == a
+        assert hash(a) == h == hash(b) == hash((verts,))
+        assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
+
+    def test_disk_orders_the_work_but_never_decides(self):
+        # against the same polygon with an empty disk and with one that
+        # holds the whole plane: points just inside and just outside the
+        # circle, points 2 eps off edges and the vertices
+        rng = np.random.default_rng(91)
+        for n in (7, 12, _LAZY_DRAWS + 1, 100, 1000):
+            for radius in (1e-2, 1.0, 1e6):
+                poly = _scaled_convex(n, n + 90, radius)
+                ox, oy, r2 = poly.kernel_disk
+                r = math.sqrt(r2)
+                points = list(poly.vertices[:8])
+                for t in rng.uniform(0, 2 * math.pi, 16).tolist():
+                    for f in (1 - 1e-12, 1 + 1e-12):
+                        points.append(Point(ox + f * r * math.cos(t),
+                                            oy + f * r * math.sin(t)))
+                v = poly.vertices
+                for k in rng.integers(0, n, 8).tolist():
+                    a, b = v[k], v[(k + 1) % n]
+                    length = math.hypot(b.x - a.x, b.y - a.y)
+                    for off in (2 * EPS, -2 * EPS):
+                        points.append(Point(
+                            (a.x + b.x) / 2 + off * (b.y - a.y) / length,
+                            (a.y + b.y) / 2 - off * (b.x - a.x) / length))
+                empty = _with_disk(poly, -1.0)
+                plane = _with_disk(poly, math.inf)
+                for policy in (SeededShuffle(5), Sequential(n // 3)):
+                    for p in points:
+                        got = classify_improved(poly, p, policy)
+                        assert got == classify_improved(empty, p, policy)
+                        assert got == classify_improved(plane, p, policy)
 
 
 class TestClassifyRaycast:
