@@ -28,10 +28,11 @@ from .classify import (
     classify_improved,
     classify_raycast,
 )
-from .geom import EPS, Point, _ring_scan
+from .geom import EPS, Point
 from .polygon import (
     ConvexPolygon,
     PolygonError,
+    _boundary_scan,
     bounding_box,
     oracle_classify,
     polygon_to_dict,
@@ -382,7 +383,7 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
 
 
 def _near_any_edge(poly: ConvexPolygon, p: Point, threshold: float) -> bool:
-    return _ring_scan(poly.vertices, *p, threshold) < 0
+    return _boundary_scan(poly, *p, threshold) < 0
 
 
 def _verdicts(poly: ConvexPolygon, p: Point, policy_seed: int, eps: float):

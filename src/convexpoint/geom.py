@@ -90,9 +90,8 @@ def _ring_scan(ring, px: float, py: float, eps: float) -> int:
     the crossing lies strictly right of the point (half-open vertex rule).
     """
     crossings = 0
-    for k in range(len(ring)):
-        ax, ay = ring[k - 1]
-        bx, by = ring[k]
+    ax, ay = ring[-1]
+    for k, (bx, by) in enumerate(ring):
         cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         if abs(cr) <= eps * (abs(bx - ax) + abs(by - ay)):
             if _dist_point_segment(px, py, ax, ay, bx, by) <= eps:
@@ -100,4 +99,5 @@ def _ring_scan(ring, px: float, py: float, eps: float) -> int:
         if (ay > py) != (by > py):
             if ax + (py - ay) * (bx - ax) / (by - ay) > px:
                 crossings += 1
+        ax, ay = bx, by
     return crossings

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import convexpoint.classify as classify_module
+import convexpoint.polygon as polygon_module
 from convexpoint.classify import (
     _LAZY_DRAWS,
     SeededShuffle,
@@ -511,6 +512,48 @@ class TestClassifyFan:
                 p = Point(v0.x + t * (vk.x - v0.x), v0.y + t * (vk.y - v0.y))
                 verdict, _ = classify_fan_triangulation(poly, p)
                 assert verdict is Classification.INSIDE, (k, t)
+
+    def test_column_scan_matches_scalar_scan(self, monkeypatch):
+        # from _VECTOR_MIN vertices on, the pre-check and the spoke scan run
+        # over column arrays; raising the threshold reaches the scalar loops
+        vmin = polygon_module._VECTOR_MIN
+        rng = np.random.default_rng(43)
+        cases = []
+        for n, radius in [(vmin, 1.0), (vmin + 1, 100.0), (100, 1.0),
+                          (2000, 1e6)]:
+            poly = random_convex(n, seed=44 + n, radius=radius)
+            v = poly.vertices
+            o = v[0]
+            box = bounding_box(poly)
+            pts = [Point(float(x), float(y)) for x, y in zip(
+                rng.uniform(box.min.x, box.max.x, 200),
+                rng.uniform(box.min.y, box.max.y, 200))] + list(v[::7])
+            for k in range(1, n - 1):
+                # outside, beyond the middle of edge Vk -> Vk+1 in its wedge
+                a, b = v[k], v[k + 1]
+                pts.append(Point(o.x + 1.01 * ((a.x + b.x) / 2 - o.x),
+                                 o.y + 1.01 * ((a.y + b.y) / 2 - o.y)))
+            # even-integer vertices at R = 1e6: the points t * (Vk - V0)
+            # past V0 lie exactly on the spoke, with a side value of 0
+            big = validate_convex([
+                (2.0 * round(5e5 * math.cos(2 * math.pi * k / n)),
+                 2.0 * round(5e5 * math.sin(2 * math.pi * k / n)))
+                for k in range(n)])
+            w = big.vertices
+            spokes = [Point(w[0].x + t * (w[k].x - w[0].x),
+                            w[0].y + t * (w[k].y - w[0].y))
+                      for k in {1, n - 1} | set(range(2, n - 1, n // 40))
+                      for t in (0.25, 0.5, 0.75, 2.0)]
+            cases += [(poly, pts), (big, spokes)]
+        vector = [[classify_fan_triangulation(poly, p) for p in pts]
+                  for poly, pts in cases]
+        monkeypatch.setattr(polygon_module, "_VECTOR_MIN", 10**9)
+        scalar = [[classify_fan_triangulation(poly, p) for p in pts]
+                  for poly, pts in cases]
+        assert vector == scalar
+        verdicts = {r[0] for rows in vector for r in rows}
+        assert verdicts == set(Classification)
+        assert all("spoke_columns" in poly.__dict__ for poly, _ in cases)
 
 
 class TestNonFinitePoint:

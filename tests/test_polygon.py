@@ -3,19 +3,22 @@ and the legal-edge count."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from convexpoint.classify import legality_test
-from convexpoint.geom import Point
+from convexpoint.geom import Point, _ring_scan
 from convexpoint.polygon import (
+    _VECTOR_MIN,
     Classification,
     ConvexPolygon,
     DuplicateVertexError,
     NotConvexError,
     NotSimpleError,
     TooFewVerticesError,
+    _boundary_scan,
     adjacent_quad,
     bounding_box,
     dump_polygon,
@@ -235,6 +238,95 @@ class TestChordTable:
         assert hash(a) == h == hash(b) == hash((verts,))
         assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
         assert a != ConvexPolygon(verts[1:] + verts[:1])
+
+    def test_ring_and_spoke_columns(self):
+        verts = random_convex(_VECTOR_MIN + 3, seed=56, radius=3).vertices
+        a, b = ConvexPolygon(verts), ConvexPolygon(verts)
+        h, r = hash(a), repr(a)
+        ax, ay, by, ux, uy, tol = a.ring_columns
+        sx, sy = a.spoke_columns
+        assert a == b and b == a
+        assert hash(a) == h == hash(b)
+        assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
+        o = verts[0]
+        for k, (x1, y1) in enumerate(verts):
+            x0, y0 = verts[k - 1]
+            assert (ax[k], ay[k], by[k], ux[k], uy[k], tol[k]) == (
+                x0, y0, y1, x1 - x0, y1 - y0, abs(x1 - x0) + abs(y1 - y0))
+            assert (sx[k], sy[k]) == (x1 - o.x, y1 - o.y)
+
+
+class TestBoundaryScan:
+    # _boundary_scan must return exactly what the scalar _ring_scan returns
+    # over the polygon's vertices, on both sides of _VECTOR_MIN.
+    EPSILONS = (0.0, 1e-9, 1e-6)
+
+    @staticmethod
+    def _edge_probes(poly, edges):
+        v = poly.vertices
+        for k in edges:
+            (x0, y0), (x1, y1) = v[k - 1], v[k]
+            yield v[k]
+            mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+            yield Point(mx, my)
+            length = math.hypot(x1 - x0, y1 - y0)
+            nx, ny = (y1 - y0) / length, (x0 - x1) / length
+            for off in (2e-9, 5e-9, 1e-8, 2e-6, 5e-6, 1e-5):
+                yield Point(mx + off * nx, my + off * ny)
+                yield Point(mx - off * nx, my - off * ny)
+
+    def _assert_same(self, poly, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in points:
+                for eps in self.EPSILONS:
+                    assert (_boundary_scan(poly, p.x, p.y, eps)
+                            == _ring_scan(poly.vertices, p.x, p.y, eps)), \
+                        (poly.n, p, eps)
+
+    @pytest.mark.parametrize("n", [_VECTOR_MIN - 1, _VECTOR_MIN,
+                                   _VECTOR_MIN + 1, 100, 2000])
+    def test_matches_ring_scan(self, n):
+        rng = np.random.default_rng(n)
+        for radius in (1.0, 1e4):
+            poly = random_convex(n, seed=60 + n, radius=radius)
+            edges = range(n) if n <= 100 else sorted(
+                {0, 1, n - 1} | set(rng.integers(0, n, 37).tolist()))
+            box = bounding_box(poly)
+            pad = 0.1 * radius
+            xs = rng.uniform(box.min.x - pad, box.max.x + pad, 100)
+            ys = rng.uniform(box.min.y - pad, box.max.y + pad, 100)
+            self._assert_same(poly, list(self._edge_probes(poly, edges))
+                              + [Point(float(x), float(y))
+                                 for x, y in zip(xs, ys)])
+            assert ("ring_columns" in poly.__dict__) is (n >= _VECTOR_MIN)
+            # vertex 0 is near both edges 0 and 1; the closing edge 0,
+            # from V[n-1], comes first in ring order
+            for eps in (1e-9, 1e-6):
+                assert _boundary_scan(poly, *poly.vertices[0], eps) == -1
+
+    def test_horizontal_edges_at_every_vertex_height(self):
+        # exactly horizontal bottom and top edges joined by two half
+        # ellipses; probes at each vertex's height, left of, inside and
+        # right of the polygon and on the vertex, exercise the half-open
+        # rule where edges meet at that height
+        m = _VECTOR_MIN // 2 + 2
+        right = [(1 + 0.5 * math.cos(t), math.sin(t)) for t in
+                 (-math.pi / 2 + math.pi * j / m for j in range(1, m))]
+        verts = ([(1.0, -1.0)] + right + [(1.0, 1.0), (-1.0, 1.0)]
+                 + [(-x, -y) for x, y in right] + [(-1.0, -1.0)])
+        poly = validate_convex(verts)
+        assert poly.n >= _VECTOR_MIN
+        points = []
+        for v in poly.vertices:
+            for x in (-2.0, -1.25, 0.0, 0.75, 2.0, v.x):
+                points.append(Point(x, v.y))
+            points.append(Point(v.x - 1e-12, v.y))
+        self._assert_same(poly, points)
+        assert _boundary_scan(poly, 0.0, 0.0, 0.0) == 1
+        assert _boundary_scan(poly, 0.0, 1.0, 0.0) < 0
+        assert _boundary_scan(poly, 0.0, -1.0, 0.0) < 0
+        assert _boundary_scan(poly, -2.0, 1.0, 0.0) % 2 == 0
 
 
 class TestSigma:
