@@ -55,6 +55,11 @@ class NotSimpleError(PolygonError):
     pass
 
 
+class GenerationError(PolygonError, RuntimeError):
+    """``random_convex`` found no valid polygon within its attempts. Also a
+    ``RuntimeError``, so callers that catch that still catch it."""
+
+
 class Classification(Enum):
     INSIDE = "inside"
     ON_BOUNDARY = "boundary"
@@ -254,7 +259,8 @@ def random_convex(n: int, seed: int, radius: float = 1.0) -> ConvexPolygon:
     consecutive triples keep a healthy margin above the collinearity
     tolerance even for thousands of vertices; the jitter amplitude is capped
     both at 5% and at what the local gaps can absorb without creating a
-    reflex vertex. The result is re-validated and resampled on failure.
+    reflex vertex. The result is re-validated and resampled on failure;
+    ``GenerationError`` is raised when every attempt fails.
     """
     if n < 3:
         raise PolygonError(f"need n >= 3, got {n}")
@@ -279,7 +285,7 @@ def random_convex(n: int, seed: int, radius: float = 1.0) -> ConvexPolygon:
                 [Point(float(x), float(y)) for x, y in zip(xs, ys)])
         except PolygonError:
             continue
-    raise RuntimeError(
+    raise GenerationError(
         f"could not generate a valid convex polygon for n={n}, "
         f"radius={radius} after {_MAX_GENERATOR_ATTEMPTS} attempts")
 
@@ -298,24 +304,43 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     ON_BOUNDARY iff it is collinear with some edge and within that closed
     segment while never strictly right; OUTSIDE otherwise. With ``eps=0``
     and inputs whose signs are exactly representable this is exact.
+
+    From ``_VECTOR_MIN`` vertices on, the cross product of every edge
+    V[k-1]->V[k] is computed at once over ``ConvexPolygon.ring_columns``,
+    in the same float64 operations as the scalar loop below. The oracle
+    shares only those edge vectors with ``_boundary_scan``, not its
+    predicate. The edge order cannot change the verdict: any edge strictly
+    right gives OUTSIDE, and otherwise a point on some edge beats a point on
+    an edge's line beyond the segment, which beats INSIDE.
     """
     verts = poly.vertices
-    n = len(verts)
     px, py = p
     _require_finite(px, py)
+    tol = max(eps, EPS)
+    if len(verts) >= _VECTOR_MIN:
+        ax, ay, _, ux, uy, _ = poly.ring_columns
+        cr = ux * (py - ay) - uy * (px - ax)
+        if np.count_nonzero(cr < -eps):
+            return Classification.OUTSIDE
+        near = (cr <= eps).nonzero()[0].tolist()
+        for k in near:
+            (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+            if _on_segment_coords(px, py, x0, y0, x1, y1, tol):
+                return Classification.ON_BOUNDARY
+        return Classification.OUTSIDE if near else Classification.INSIDE
     on_edge = False
     off_line = False
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
+    ax, ay = verts[-1]
+    for bx, by in verts:
         cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         if cr < -eps:
             return Classification.OUTSIDE
         if cr <= eps:
-            if _on_segment_coords(px, py, ax, ay, bx, by, max(eps, EPS)):
+            if _on_segment_coords(px, py, ax, ay, bx, by, tol):
                 on_edge = True
             else:
                 off_line = True
+        ax, ay = bx, by
     if on_edge:
         return Classification.ON_BOUNDARY
     if off_line:

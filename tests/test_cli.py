@@ -82,6 +82,17 @@ class TestGenerateValidate:
         capsys.readouterr()
         assert json.loads(open(a).read()) == json.loads(open(b).read())
 
+    def test_generate_gives_up_exit2(self, tmp_path, capsys):
+        # the generator gives up at this radius; that is an input error, not
+        # exit 1, the code for a fuzz disagreement
+        out = tmp_path / "tiny.json"
+        assert main(["generate", "--n", "12", "--radius", "1e-4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not generate")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_validate_rejects_nonconvex(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

@@ -8,15 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
+from convexpoint import polygon
 from convexpoint.classify import legality_test
-from convexpoint.geom import Point, _ring_scan
+from convexpoint.geom import EPS, Point, _on_segment_coords, _ring_scan
 from convexpoint.polygon import (
     _VECTOR_MIN,
     Classification,
     ConvexPolygon,
     DuplicateVertexError,
+    GenerationError,
     NotConvexError,
     NotSimpleError,
+    PolygonError,
     TooFewVerticesError,
     _boundary_scan,
     adjacent_quad,
@@ -155,8 +158,56 @@ class TestRandomConvex:
         with pytest.raises(Exception):
             random_convex(5, seed=1, radius=0.0)
 
+    def test_giving_up_raises_generation_error(self):
+        # at radius 1e-4 every turn's cross product is below the absolute
+        # collinearity tolerance, so no attempt validates
+        with pytest.raises(GenerationError) as info:
+            random_convex(12, seed=1, radius=1e-4)
+        assert isinstance(info.value, PolygonError)
+        assert isinstance(info.value, RuntimeError)
+
+
+def _indexed_oracle(poly, p, eps):
+    """The oracle's indexed loop over edges V[i] -> V[i+1], frozen as the
+    reference for both of its paths. Returns the verdict and which of the
+    two flags it set, so the test can show that it reached every branch."""
+    verts = poly.vertices
+    n = len(verts)
+    px, py = p
+    on_edge = False
+    off_line = False
+    for i in range(n):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % n]
+        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if cr < -eps:
+            return Classification.OUTSIDE, None
+        if cr <= eps:
+            if _on_segment_coords(px, py, ax, ay, bx, by, max(eps, EPS)):
+                on_edge = True
+            else:
+                off_line = True
+    if on_edge:
+        return Classification.ON_BOUNDARY, (True, off_line)
+    if off_line:
+        return Classification.OUTSIDE, (False, True)
+    return Classification.INSIDE, (False, False)
+
+
+def _mirrored_ngon(n, radius):
+    """A regular-angled n-gon whose closing edge V[n-1] -> V0 is exactly
+    horizontal: vertex n-1-j is vertex j mirrored in the y axis."""
+    half = [(radius * math.cos(t), radius * math.sin(t)) for t in
+            (-math.pi / 2 + math.pi * (2 * j + 1) / n
+             for j in range((n + 1) // 2))]
+    right = half[:n // 2]
+    apex = [(0.0, half[-1][1])] if n % 2 else []
+    return right + apex + [(-x, y) for x, y in reversed(right)]
+
 
 class TestOracle:
+    EPSILONS = (0.0, 1e-9, 1e-6)
+
     def test_square_center(self):
         poly = validate_convex(SQUARE)
         assert oracle_classify(poly, Point(0.5, 0.5)) is Classification.INSIDE
@@ -181,6 +232,83 @@ class TestOracle:
                 assert oracle_classify(poly, v) is Classification.ON_BOUNDARY
             assert oracle_classify(poly, poly.centroid()) \
                 is Classification.INSIDE
+
+    @staticmethod
+    def _polygons(n):
+        for k, radius in enumerate((1.0, 1e4, 1e6)):
+            yield random_convex(n, seed=70 + 3 * n + k, radius=radius)
+        # the validator rejects this scale, so build the ring directly
+        yield ConvexPolygon(tuple(
+            Point(1e-2 * x, 1e-2 * y)
+            for x, y in random_convex(n, seed=71 + n, radius=1.0).vertices))
+        # an exactly horizontal closing edge, and its quarter turn, an exactly
+        # vertical one: on them cr is 0 and the distance a few ulp
+        ring = _mirrored_ngon(n, 1e4)
+        yield validate_convex(ring)
+        yield validate_convex([(-y, x) for x, y in ring])
+
+    @staticmethod
+    def _points(poly, rng):
+        v = poly.vertices
+        n = len(v)
+        scale = max(max(abs(x), abs(y)) for x, y in v)
+        edges = range(n) if n <= 12 else sorted(
+            {0, 1, n - 1} | set(rng.integers(0, n, 2).tolist()))
+        # vertices, midpoints and the benchmark's offsets from them
+        yield from TestBoundaryScan._edge_probes(poly, edges)
+        for k in edges:
+            (x0, y0), (x1, y1) = v[k - 1], v[k]
+            length = math.hypot(x1 - x0, y1 - y0)
+            tx, ty = (x1 - x0) / length, (y1 - y0) / length
+            for t in (0.3, 1 / 3):
+                yield Point(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+            off = 1e-6 * scale
+            mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+            yield Point(mx - off * ty, my + off * tx)
+            yield Point(mx + off * ty, my - off * tx)
+            # on the edge, just in from either end: at small scale within
+            # eps of the neighbour's line but off its segment, so both flags
+            yield Point(x1 - off * tx, y1 - off * ty)
+            yield Point(x0 + off * tx, y0 + off * ty)
+            # on the edge's line, just past either end: the off_line branch
+            for off in (5e-10, 2e-9, 2e-6, 1e-6 * scale):
+                yield Point(x1 + off * tx, y1 + off * ty)
+                yield Point(x0 - off * tx, y0 - off * ty)
+        xs = [x for x, _ in v]
+        ys = [y for _, y in v]
+        pad = 0.1 * scale
+        for x, y in zip(rng.uniform(min(xs) - pad, max(xs) + pad, 30),
+                        rng.uniform(min(ys) - pad, max(ys) + pad, 30)):
+            yield Point(float(x), float(y))
+
+    @pytest.mark.parametrize("n", [3, 4, 12, _VECTOR_MIN - 1, _VECTOR_MIN,
+                                   _VECTOR_MIN + 1, 100, 2000])
+    def test_matches_indexed_reference(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        branches = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for poly in self._polygons(n):
+                cases = []
+                for p in self._points(poly, rng):
+                    for eps in self.EPSILONS:
+                        want, flags = _indexed_oracle(poly, p, eps)
+                        branches.add(flags)
+                        cases.append((p, eps, want))
+                for p, eps, want in cases:
+                    assert oracle_classify(poly, p, eps) is want, (n, p, eps)
+                assert ("ring_columns" in poly.__dict__) is (
+                    n >= _VECTOR_MIN)
+                # the other path on the same polygon
+                monkeypatch.setattr(polygon, "_VECTOR_MIN",
+                                    n + 1 if n >= _VECTOR_MIN else 3)
+                for p, eps, want in cases:
+                    assert oracle_classify(poly, p, eps) is want, (n, p, eps)
+                monkeypatch.undo()
+        # strictly right of an edge; inside; on an edge only; off the
+        # segment on its line only; and both, where on_edge must win
+        assert branches >= {None, (False, False), (True, False),
+                            (False, True), (True, True)}, branches
 
 
 class TestBoundingBox:
