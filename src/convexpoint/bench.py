@@ -42,15 +42,14 @@ from .polygon import (
 )
 
 # Every classifier the sweeps, the fuzz and the CLI run, as
-# (poly, p, policy_seed, eps) -> (Classification, TrialStats). The order is
-# the report order and the SVG colour order.
+# (poly, p, policy_seed) -> (Classification, TrialStats). The order is the
+# report order and the SVG colour order.
 CLASSIFIERS = {
-    "improved": lambda poly, p, seed, eps: classify_improved(
-        poly, p, SeededShuffle(seed), eps),
-    "raycast": lambda poly, p, seed, eps: classify_raycast(poly, p, eps),
-    "fan": lambda poly, p, seed, eps: classify_fan_triangulation(poly, p, eps),
+    "improved": lambda poly, p, seed: classify_improved(
+        poly, p, SeededShuffle(seed)),
+    "raycast": lambda poly, p, seed: classify_raycast(poly, p),
+    "fan": lambda poly, p, seed: classify_fan_triangulation(poly, p),
 }
-ALGORITHMS = tuple(CLASSIFIERS)
 
 _SEED_BOUND = 2**63 - 1
 
@@ -84,13 +83,6 @@ class BenchConfig:
                 or self.warmup_rounds < 0 or self.repetitions < 1):
             raise ValueError(f"invalid bench config: {self}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchConfig":
-        return cls(**{**d, "polygon_sizes": tuple(d["polygon_sizes"])})
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -102,13 +94,6 @@ class SweepCell:
     edges_tried: int
     exhausted_all: int
     disagreements: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepCell":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -124,9 +109,10 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        return cls(**{**d, "config": BenchConfig.from_dict(d["config"]),
-                      "cells": tuple(SweepCell.from_dict(c)
-                                    for c in d["cells"])})
+        config = {**d["config"],
+                  "polygon_sizes": tuple(d["config"]["polygon_sizes"])}
+        return cls(**{**d, "config": BenchConfig(**config),
+                      "cells": tuple(SweepCell(**c) for c in d["cells"])})
 
     def total(self, algorithm: str, field_name: str) -> float:
         return sum(getattr(c, field_name) for c in self.cells
@@ -203,14 +189,14 @@ def _disagreement_payload(poly: ConvexPolygon, p: Point, verdicts: dict) -> dict
 
 
 def _classify_pass(algorithm: str, poly: ConvexPolygon, points: list[Point],
-                   policy_seeds: list[int], eps: float):
+                   policy_seeds: list[int]):
     """One full classification pass over a point set; returns the
     (classification, stats) pairs. This is also the timed unit."""
     classify = CLASSIFIERS[algorithm]
-    return [classify(poly, p, s, eps) for p, s in zip(points, policy_seeds)]
+    return [classify(poly, p, s) for p, s in zip(points, policy_seeds)]
 
 
-def _measure_cells(jobs, cfg: BenchConfig, eps: float,
+def _measure_cells(jobs, cfg: BenchConfig,
                    time_batch: int = 1) -> tuple[list[SweepCell], int]:
     """jobs: list of (set_index, poly, points, policy_seeds, oracle_verdicts).
 
@@ -225,8 +211,8 @@ def _measure_cells(jobs, cfg: BenchConfig, eps: float,
     cells = []
     for set_index, poly, points, seeds, truths in jobs:
         counters = {}
-        for algorithm in ALGORITHMS:
-            results = _classify_pass(algorithm, poly, points, seeds, eps)
+        for algorithm in CLASSIFIERS:
+            results = _classify_pass(algorithm, poly, points, seeds)
             for p, (verdict, _), truth in zip(points, results, truths):
                 if verdict is not truth:
                     raise OracleDisagreementError(_disagreement_payload(
@@ -238,23 +224,23 @@ def _measure_cells(jobs, cfg: BenchConfig, eps: float,
             )
 
         for _ in range(cfg.warmup_rounds):
-            for algorithm in ALGORITHMS:
-                _classify_pass(algorithm, poly, points, seeds, eps)
-        samples = {algorithm: [] for algorithm in ALGORITHMS}
+            for algorithm in CLASSIFIERS:
+                _classify_pass(algorithm, poly, points, seeds)
+        samples = {algorithm: [] for algorithm in CLASSIFIERS}
         gc_was_enabled = gc.isenabled()
         gc.disable()  # keep collection pauses out of individual samples
         try:
             for _ in range(cfg.repetitions):
-                for algorithm in ALGORITHMS:
+                for algorithm in CLASSIFIERS:
                     t0 = time.perf_counter_ns()
                     for _ in range(time_batch):
-                        _classify_pass(algorithm, poly, points, seeds, eps)
+                        _classify_pass(algorithm, poly, points, seeds)
                     samples[algorithm].append(time.perf_counter_ns() - t0)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-        for algorithm in ALGORITHMS:
+        for algorithm in CLASSIFIERS:
             its, tried, exhausted = counters[algorithm]
             cells.append(SweepCell(
                 algorithm=algorithm,
@@ -274,8 +260,7 @@ def _measure_cells(jobs, cfg: BenchConfig, eps: float,
     return cells, baseline
 
 
-def run_point_sweep(poly: ConvexPolygon, cfg: BenchConfig,
-                    eps: float = EPS) -> SweepReport:
+def run_point_sweep(poly: ConvexPolygon, cfg: BenchConfig) -> SweepReport:
     """Classify num_point_sets x points_per_set bounding-box points with every
     classifier in CLASSIFIERS, cross-checking every verdict against the
     oracle."""
@@ -292,11 +277,11 @@ def run_point_sweep(poly: ConvexPolygon, cfg: BenchConfig,
     for s in range(cfg.num_point_sets):
         pts = points[s * pps:(s + 1) * pps]
         seeds = policy_seeds[s * pps:(s + 1) * pps]
-        truths = [oracle_classify(poly, p, eps) for p in pts]
+        truths = [oracle_classify(poly, p) for p in pts]
         jobs.append((s, poly, pts, seeds, truths))
 
-    cells, baseline = _measure_cells(jobs, cfg, eps)
-    meta = {"mode": "point-sweep", "polygon_n": poly.n, "eps": eps}
+    cells, baseline = _measure_cells(jobs, cfg)
+    meta = {"mode": "point-sweep", "polygon_n": poly.n, "eps": EPS}
     return SweepReport("point-sweep", cfg, meta, baseline, tuple(cells))
 
 
@@ -306,7 +291,7 @@ _POLYGON_SWEEP_TIME_BATCH = 32
 
 
 def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
-                      radius: float = 100.0, eps: float = EPS) -> SweepReport:
+                      radius: float = 100.0) -> SweepReport:
     """One polygon per entry of cfg.polygon_sizes; each set classifies the
     rule-selected query point with every classifier in CLASSIFIERS."""
     rng = np.random.default_rng(cfg.seed)
@@ -316,10 +301,10 @@ def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
                              radius)
         q = rule.point(poly, rng)
         seeds = [int(rng.integers(0, _SEED_BOUND))]
-        truths = [oracle_classify(poly, q, eps)]
+        truths = [oracle_classify(poly, q)]
         jobs.append((k, poly, [q], seeds, truths))
 
-    cells, baseline = _measure_cells(jobs, cfg, eps,
+    cells, baseline = _measure_cells(jobs, cfg,
                                      time_batch=_POLYGON_SWEEP_TIME_BATCH)
     meta = {
         "mode": "polygon-sweep",
@@ -328,14 +313,13 @@ def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
         "radius": radius,
         "generator": "sorted-angle circle placement, bounded gaps, "
                      "curvature-capped radial jitter",
-        "eps": eps,
+        "eps": EPS,
     }
     return SweepReport("polygon-sweep", cfg, meta, baseline, tuple(cells))
 
 
 def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
-                            seed: int = DEFAULT_SEED,
-                            eps: float = EPS) -> ExpectationReport:
+                            seed: int = DEFAULT_SEED) -> ExpectationReport:
     """Compare measured trial counts against the model E = N / sigma.
 
     Runs the real shuffled classifier ``runs`` times. The with-replacement
@@ -350,13 +334,13 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = poly.n
-    sig = sigma(poly, p, eps)
+    sig = sigma(poly, p)
 
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, _SEED_BOUND, runs).tolist()
     trials = []
     for s in run_seeds:
-        _, stats = classify_improved(poly, p, SeededShuffle(s), eps)
+        _, stats = classify_improved(poly, p, SeededShuffle(s))
         trials.append(stats.edges_tried)
     observed = sum(trials) / runs
 
@@ -382,27 +366,23 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
                              seed)
 
 
-def _near_any_edge(poly: ConvexPolygon, p: Point, threshold: float) -> bool:
-    return _boundary_scan(poly, *p, threshold) < 0
-
-
-def _verdicts(poly: ConvexPolygon, p: Point, policy_seed: int, eps: float):
-    verdicts = {name: classify(poly, p, policy_seed, eps)[0]
+def _verdicts(poly: ConvexPolygon, p: Point, policy_seed: int):
+    verdicts = {name: classify(poly, p, policy_seed)[0]
                 for name, classify in CLASSIFIERS.items()}
     verdicts["oracle"] = oracle_classify(poly, p, 0.0)
     return verdicts
 
 
-def _minimize_disagreement(poly: ConvexPolygon, p: Point, policy_seed: int,
-                           eps: float) -> dict:
+def _minimize_disagreement(poly: ConvexPolygon, p: Point,
+                           policy_seed: int) -> dict:
     """Greedy vertex-removal shrink keeping the disagreement."""
 
     def disagrees(vs):
         try:
-            cand = validate_convex(vs, eps)
+            cand = validate_convex(vs)
         except PolygonError:
             return None
-        verdicts = _verdicts(cand, p, policy_seed, eps)
+        verdicts = _verdicts(cand, p, policy_seed)
         if len(set(verdicts.values())) > 1:
             return cand
         return None
@@ -419,13 +399,16 @@ def _minimize_disagreement(poly: ConvexPolygon, p: Point, policy_seed: int,
                 shrinking = True
                 break
     payload = _disagreement_payload(current, p,
-                                    _verdicts(current, p, policy_seed, eps))
+                                    _verdicts(current, p, policy_seed))
     payload["policy_seed"] = policy_seed
     return payload
 
 
-def run_fuzz(cases: int, max_n: int = 256, seed: int = DEFAULT_SEED,
-             points_per_polygon: int = 50, eps: float = EPS) -> FuzzResult:
+_FUZZ_POINTS_PER_POLYGON = 50
+
+
+def run_fuzz(cases: int, max_n: int = 256,
+             seed: int = DEFAULT_SEED) -> FuzzResult:
     """Differential suite: every classifier in CLASSIFIERS against the exact
     oracle.
 
@@ -450,20 +433,20 @@ def run_fuzz(cases: int, max_n: int = 256, seed: int = DEFAULT_SEED,
         hi_x = math.ceil(box.max.x) + 1
         lo_y = math.floor(box.min.y) - 1
         hi_y = math.ceil(box.max.y) + 1
-        count = min(points_per_polygon, cases - run)
+        count = min(_FUZZ_POINTS_PER_POLYGON, cases - run)
         ixs = rng.integers(lo_x, hi_x + 1, count)
         iys = rng.integers(lo_y, hi_y + 1, count)
         pseeds = rng.integers(0, _SEED_BOUND, count).tolist()
         for ix, iy, ps in zip(ixs, iys, pseeds):
             p = Point(float(ix), float(iy))
-            if _near_any_edge(poly, p, 10.0 * eps):
+            if _boundary_scan(poly, p.x, p.y, 10.0 * EPS) < 0:
                 continue
-            verdicts = _verdicts(poly, p, ps, eps)
+            verdicts = _verdicts(poly, p, ps)
             run += 1
             if len(set(verdicts.values())) == 1:
                 agreed += 1
             else:
-                payload = _minimize_disagreement(poly, p, ps, eps)
+                payload = _minimize_disagreement(poly, p, ps)
                 return FuzzResult(run, agreed, payload)
             if run >= cases:
                 break
@@ -544,7 +527,7 @@ def _render_svg(report: SweepReport) -> str:
         f'<text x="14" y="{height // 2}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 14 {height // 2})">relative time</text>',
     ]
-    for k, alg in enumerate(ALGORITHMS):
+    for k, alg in enumerate(CLASSIFIERS):
         pts = [(c.set_index, c.relative_time) for c in report.cells
                if c.algorithm == alg]
         pts.sort()

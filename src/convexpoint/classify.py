@@ -24,7 +24,6 @@ segment must not pass through that vertex.
 """
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -32,14 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .geom import (
-    EPS,
-    Point,
-    _on_segment_coords,
-    _require_finite,
-    _ring_scan,
-    perpendicular_foot,
-)
+from .geom import EPS, Point, _require_finite, _ring_scan
 from .polygon import (
     Classification,
     ConvexPolygon,
@@ -47,6 +39,7 @@ from .polygon import (
     _admission_mask,
     _boundary_scan,
     _fan_wedge,
+    _triangle_admits,
     adjacent_quad,
 )
 
@@ -83,13 +76,6 @@ class TrialStats(NamedTuple):
     intersection_tests: int
     legal_edge: Optional[int]
     exhausted_all: bool
-
-
-@dataclass(frozen=True)
-class LegalityOutcome:
-    legal: bool
-    foot: Point
-    zero_length: bool
 
 
 _MASK64 = (1 << 64) - 1
@@ -193,30 +179,14 @@ def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
 
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point,
-                  eps: float = EPS) -> LegalityOutcome:
-    """Admission test for edge ``i`` and query point ``p``.
-
-    Also reports the perpendicular foot on the edge's supporting line (never
-    clamped to the segment) and whether the perpendicular collapsed to zero
-    length because ``p`` already sits on that line.
-    """
+                  eps: float = EPS) -> bool:
+    """Admission test for edge ``i`` and query point ``p``: the chord-side
+    test around the edge's quad, or for a triangle ``_triangle_admits``."""
     quad = adjacent_quad(poly, i)
-    foot = perpendicular_foot(p, quad.a, quad.b)
-    zero = math.hypot(p.x - foot.x, p.y - foot.y) <= eps
-
     if quad.degenerate:
-        # Triangle: the closing side is the single opposite vertex; the
-        # perpendicular segment must not run through it.
-        if zero:
-            legal = math.hypot(quad.c.x - p.x, quad.c.y - p.y) > eps
-        else:
-            legal = not _on_segment_coords(quad.c.x, quad.c.y,
-                                           p.x, p.y, foot.x, foot.y, eps)
-    else:
-        c, d = quad.c, quad.d
-        legal = ((d.x - c.x) * (p.y - c.y)
-                 - (d.y - c.y) * (p.x - c.x)) < -eps
-    return LegalityOutcome(legal, foot, zero)
+        return _triangle_admits(poly.vertices, i, p.x, p.y, eps)
+    c, d = quad.c, quad.d
+    return ((d.x - c.x) * (p.y - c.y) - (d.y - c.y) * (p.x - c.x)) < -eps
 
 
 def _quad_verdict(r: int, n_polygon: int) -> Classification:
@@ -294,7 +264,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # whole order.
         for idx in _order_parts(policy, n)[0]:
             tried += 1
-            if legality_test(poly, idx, p, eps).legal:
+            if _triangle_admits(verts, idx, px, py, eps):
                 verdict = _quad_verdict(_ring_scan(verts, px, py, eps), n)
                 return verdict, TrialStats(tried, tried + 3, idx, False)
         return Classification.INSIDE, TrialStats(n, n, None, True)

@@ -26,7 +26,7 @@ from .bench import (
     trial_expectation_check,
 )
 from .classify import DEFAULT_SEED
-from .geom import EPS, GeometryError, Point, _require_finite
+from .geom import GeometryError, Point, _require_finite
 from .polygon import PolygonError, dump_polygon, load_polygon, random_convex
 
 _RULES = {"centroid": CENTROID_RULE, "near-boundary": NEAR_BOUNDARY_RULE}
@@ -45,8 +45,7 @@ def _parse_point(text: str) -> Point:
 def _cmd_classify(args) -> int:
     poly = load_polygon(args.polygon)
     p = _parse_point(args.point)
-    verdict, stats = CLASSIFIERS[args.algorithm](poly, p, args.policy_seed,
-                                                 EPS)
+    verdict, stats = CLASSIFIERS[args.algorithm](poly, p, args.policy_seed)
     print(verdict.value)
     print(f"edges_tried={stats.edges_tried} "
           f"intersection_tests={stats.intersection_tests}")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,14 +25,19 @@ from .geom import (
     _on_segment_coords,
     _require_finite,
     _ring_scan,
+    perpendicular_foot,
 )
 
 
 # Rings with at least this many vertices take the column-array boundary
-# scan and fan scan; smaller ones take the scalar loops, where the fixed cost
-# of a dozen numpy calls outweighs the per-edge saving. For bounding-box
-# points the column path wins from about 30 vertices for raycast and from
-# about 40 for fan (CPython 3.11, numpy 2.4, shared 2-vCPU Xeon).
+# scan, fan scan and oracle; smaller ones take the scalar loops, where the
+# fixed cost of a dozen numpy calls outweighs the per-edge saving. For
+# bounding-box points the column path wins from about 30 vertices for
+# raycast and from about 40 for fan (CPython 3.11, numpy 2.4, shared 2-vCPU
+# Xeon). The oracle's column path, against its carry-forward loop, costs
+# 2.0-2.1x at 16 vertices, 1.4-1.6x at 24, 1.07-1.13x at 32, 0.89-1.10x at
+# 40, 0.73-0.78x at 48 and 0.61-0.68x at 64 (same host, 5 polygons per size,
+# 400 box points each, two runs).
 _VECTOR_MIN = 40
 
 
@@ -88,7 +94,7 @@ class ConvexPolygon:
         Edge i admits p iff ``ux * (py - cy) - uy * (px - cx) < -eps``: p
         lies strictly on the edge side of its neighbors' chord. For a
         triangle the chord collapses to the opposite vertex (u = 0), so the
-        table cannot express the triangle rule; see ``legality_test``. The
+        table cannot express the triangle rule; see ``_triangle_admits``. The
         cache lives in the instance ``__dict__``, outside the dataclass
         fields, so equality, hashing and repr see only ``vertices``.
         """
@@ -171,60 +177,64 @@ class BoundingBox(NamedTuple):
     max: Point
 
 
-def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]],
-                    eps: float = EPS) -> ConvexPolygon:
+def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
+                    ) -> ConvexPolygon:
     """Validate a vertex list and return a normalized polygon.
 
     Clockwise input is reversed to counter-clockwise. Raises
     TooFewVerticesError, DuplicateVertexError, NotConvexError or
-    NotSimpleError when the ring cannot be normalized.
+    NotSimpleError when the ring cannot be normalized, and PolygonError
+    when an entry is not two numbers or the ring's cross products overflow.
     """
-    verts = [Point(float(p[0]), float(p[1])) for p in raw]
-    for v in verts:
-        _require_finite(v.x, v.y)
+    try:
+        entries = list(raw)
+    except TypeError:
+        raise PolygonError(
+            f"vertices must be a list of [x, y] pairs, got {raw!r}") from None
+    verts = []
+    for k, v in enumerate(entries):
+        try:
+            x, y = v
+            verts.append(Point(float(x), float(y)))
+        except (TypeError, ValueError):
+            raise PolygonError(
+                f"vertex {k} must be two numbers [x, y], got {v!r}") from None
+    _require_finite(*chain.from_iterable(verts))
     n = len(verts)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
 
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if math.hypot(b.x - a.x, b.y - a.y) <= eps:
-            raise DuplicateVertexError(
-                f"vertices {i} and {(i + 1) % n} coincide at {a}")
-
     # Signed area decides the winding; flip CW rings to CCW.
     area2 = 0.0
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
+    for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        if math.hypot(b.x - a.x, b.y - a.y) <= EPS:
+            raise DuplicateVertexError(
+                f"vertices {i} and {(i + 1) % n} coincide at {a}")
         area2 += a.x * b.y - b.x * a.y
     if area2 < 0.0:
         verts.reverse()
 
-    for i in range(n):
-        a = verts[i - 1]
-        b = verts[i]
-        c = verts[(i + 1) % n]
+    # All turns are strictly left; the ring is simple iff it winds exactly
+    # once (a star polygon turns left everywhere but winds more than once).
+    # A product of coordinates above about 1e154 overflows to inf or NaN,
+    # which passes a plain ``<= EPS`` or ``> 1e-6`` test.
+    turning = 0.0
+    a, b = verts[-1], verts[0]
+    for i, c in enumerate(verts[1:] + verts[:1]):
         d = _cross(a.x, a.y, b.x, b.y, c.x, c.y)
-        if d <= eps:
-            kind = "collinear" if abs(d) <= eps else "clockwise"
+        if d <= EPS:
+            kind = "collinear" if abs(d) <= EPS else "clockwise"
             raise NotConvexError(
                 f"consecutive triple around vertex {i} is {kind}; "
                 "strict convexity requires a counter-clockwise turn")
-
-    # All turns are strictly left; the ring is simple iff it winds exactly
-    # once (a star polygon turns left everywhere but winds more than once).
-    turning = 0.0
-    for i in range(n):
-        a = verts[i - 1]
-        b = verts[i]
-        c = verts[(i + 1) % n]
-        u = (b.x - a.x, b.y - a.y)
-        w = (c.x - b.x, c.y - b.y)
-        turning += math.atan2(u[0] * w[1] - u[1] * w[0],
-                              u[0] * w[0] + u[1] * w[1])
-    if abs(turning - 2.0 * math.pi) > 1e-6:
+        if not math.isfinite(d):
+            raise PolygonError(
+                f"cross product around vertex {i} overflows: {d}")
+        ux, uy = b.x - a.x, b.y - a.y
+        wx, wy = c.x - b.x, c.y - b.y
+        turning += math.atan2(ux * wy - uy * wx, ux * wx + uy * wy)
+        a, b = b, c
+    if not abs(turning - 2.0 * math.pi) <= 1e-6:  # a NaN sum fails too
         raise NotSimpleError(
             f"ring winds {turning / (2.0 * math.pi):.3f} times; "
             "a simple convex polygon winds exactly once")
@@ -359,6 +369,19 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float,
     return ux * (py - cy) - uy * (px - cx) < -eps
 
 
+def _triangle_admits(verts: tuple[Point, ...], i: int, px: float, py: float,
+                     eps: float) -> bool:
+    """Whether edge i of the triangle ``verts`` admits ``(px, py)``. Its
+    chord collapses to the opposite vertex c, so the perpendicular from p to
+    the edge's supporting line must not run through c; when p already sits
+    on that line, the perpendicular is p itself."""
+    cx, cy = verts[i - 1]
+    fx, fy = perpendicular_foot(Point(px, py), verts[i], verts[(i + 1) % 3])
+    if math.hypot(px - fx, py - fy) <= eps:
+        return math.hypot(cx - px, cy - py) > eps
+    return not _on_segment_coords(cx, cy, px, py, fx, fy, eps)
+
+
 def _boundary_scan(poly: ConvexPolygon, px: float, py: float,
                    eps: float) -> int:
     """``_ring_scan(poly.vertices, px, py, eps)``, the same value, over
@@ -416,12 +439,11 @@ def sigma(poly: ConvexPolygon, p: Point, eps: float = EPS) -> int:
     """Number of edges whose perpendicular passes the legality test for
     ``p``, counted by exhaustive scan over all N edges with the admission
     test of ``classify_improved``: ``_admission_mask``, or for a triangle
-    ``legality_test``."""
-    if poly.n == 3:
-        from .classify import legality_test  # deferred: classify builds on this module
-
-        return sum(1 for i in range(3) if legality_test(poly, i, p, eps).legal)
+    ``_triangle_admits``."""
     px, py = p
+    if poly.n == 3:
+        return sum(_triangle_admits(poly.vertices, i, px, py, eps)
+                   for i in range(3))
     return int(np.count_nonzero(_admission_mask(poly, px, py, eps)))
 
 
@@ -429,17 +451,17 @@ def polygon_to_dict(poly: ConvexPolygon) -> dict:
     return {"vertices": [[v.x, v.y] for v in poly.vertices]}
 
 
-def polygon_from_dict(data: dict, eps: float = EPS) -> ConvexPolygon:
+def polygon_from_dict(data: dict) -> ConvexPolygon:
     if not isinstance(data, dict) or "vertices" not in data:
         raise PolygonError('polygon document must be {"vertices": [[x, y], ...]}')
-    return validate_convex(data["vertices"], eps)
+    return validate_convex(data["vertices"])
 
 
-def load_polygon(path: str, eps: float = EPS) -> ConvexPolygon:
+def load_polygon(path: str) -> ConvexPolygon:
     """Read a polygon from a JSON document {"vertices": [[x, y], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return polygon_from_dict(data, eps)
+    return polygon_from_dict(data)
 
 
 def dump_polygon(poly: ConvexPolygon, path: str) -> None:

@@ -24,6 +24,7 @@ from convexpoint.geom import EPS, GeometryError, Point
 from convexpoint.polygon import (
     Classification,
     ConvexPolygon,
+    _boundary_scan,
     adjacent_quad,
     bounding_box,
     oracle_classify,
@@ -43,8 +44,6 @@ def regular_ngon(n, radius=1.0):
 
 
 def lattice_probe_points(poly, rng, count, clear_of_edges=False):
-    from convexpoint.bench import _near_any_edge
-
     box = bounding_box(poly)
     lo_x, hi_x = math.floor(box.min.x) - 1, math.ceil(box.max.x) + 1
     lo_y, hi_y = math.floor(box.min.y) - 1, math.ceil(box.max.y) + 1
@@ -52,7 +51,7 @@ def lattice_probe_points(poly, rng, count, clear_of_edges=False):
     ys = rng.integers(lo_y, hi_y + 1, count)
     pts = [Point(float(x), float(y)) for x, y in zip(xs, ys)]
     if clear_of_edges:
-        pts = [p for p in pts if not _near_any_edge(poly, p, 1e-8)]
+        pts = [p for p in pts if _boundary_scan(poly, *p, 1e-8) >= 0]
     return pts
 
 
@@ -100,36 +99,59 @@ class TestEdgeOrder:
 
 class TestLegality:
     def test_point_inside_near_bottom_edge(self):
-        out = legality_test(SQUARE, 0, Point(0.5, 0.25))
-        assert out.legal
-        assert out.foot == Point(0.5, 0.0)
-        assert not out.zero_length
+        assert legality_test(SQUARE, 0, Point(0.5, 0.25))
 
     def test_point_on_edge_zero_length(self):
-        out = legality_test(SQUARE, 0, Point(0.5, 0.0))
-        assert out.legal
-        assert out.zero_length
-        assert out.foot == Point(0.5, 0.0)
+        assert legality_test(SQUARE, 0, Point(0.5, 0.0))
 
     def test_point_beyond_far_chord_rejected(self):
         # the perpendicular from (0.5, 2) to the bottom edge's line runs
         # through the connecting segment (0,1)-(1,1), so edge 0 cannot
         # answer for this point
-        out = legality_test(SQUARE, 0, Point(0.5, 2.0))
-        assert not out.legal
+        assert not legality_test(SQUARE, 0, Point(0.5, 2.0))
 
     def test_triangle_perpendicular_through_apex_rejected(self):
         # apex (1, 1) sits exactly on the perpendicular from (1, 5) to the
         # base's supporting line
         tri = validate_convex([(0, 0), (2, 0), (1, 1)])
-        out = legality_test(tri, 0, Point(1.0, 5.0))
-        assert not out.legal
-        out2 = legality_test(tri, 0, Point(1.0, 0.5))
-        assert out2.legal
+        assert not legality_test(tri, 0, Point(1.0, 5.0))
+        assert legality_test(tri, 0, Point(1.0, 0.5))
 
-    def test_foot_reported_on_supporting_line(self):
-        out = legality_test(SQUARE, 0, Point(5.0, -3.0))
-        assert out.foot == Point(5.0, 0.0)
+
+class TestTriangleRule:
+    # One triangle, base (0,0)-(2,0) and apex (1,1), at points that reach
+    # each branch of the triangle rule: per point, legality_test of edges
+    # 0, 1, 2, then sigma, the verdict, and classify_improved's TrialStats
+    # under SeededShuffle(1729), SeededShuffle(5), Sequential(0) and
+    # Sequential(2).
+    TRI = validate_convex([(0, 0), (2, 0), (1, 1)])
+    POLICIES = (SeededShuffle(1729), SeededShuffle(5), Sequential(0),
+                Sequential(2))
+    CASES = {
+        # on the base: a zero-length perpendicular for edge 0
+        "on_edge": ((1.0, 0.0), (True, True, True), 3, "boundary",
+                    ((1, 4, 1), (1, 4, 0), (1, 4, 0), (1, 4, 2))),
+        # on the base's line past its end: zero length again, off the edge
+        "line_past_end": ((3.0, 0.0), (True, True, True), 3, "outside",
+                          ((1, 4, 1), (1, 4, 0), (1, 4, 0), (1, 4, 2))),
+        # the perpendicular to the base runs through the apex
+        "beyond_apex": ((1.0, 5.0), (False, True, True), 2, "outside",
+                        ((1, 4, 1), (2, 5, 2), (2, 5, 1), (1, 4, 2))),
+        # the apex is the perpendicular's own end
+        "apex": ((1.0, 1.0), (False, True, True), 2, "boundary",
+                 ((1, 4, 1), (2, 5, 2), (2, 5, 1), (1, 4, 2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, name):
+        (x, y), legal, sig, verdict, stats = self.CASES[name]
+        p = Point(x, y)
+        assert tuple(legality_test(self.TRI, i, p) for i in range(3)) == legal
+        assert sigma(self.TRI, p) == sig
+        for policy, (tried, tests, edge) in zip(self.POLICIES, stats):
+            assert classify_improved(self.TRI, p, policy) == (
+                Classification(verdict),
+                TrialStats(tried, tests, edge, False)), policy
 
 
 class TestClassifyQuad:
@@ -245,9 +267,9 @@ class TestClassifyImproved:
                     assert order[st.edges_tried - 1] == st.legal_edge
                     # the reported edge passes the admission test in
                     # isolation
-                    assert legality_test(poly, st.legal_edge, p).legal
+                    assert legality_test(poly, st.legal_edge, p)
                     # and every edge tried before it rejects
-                    assert not any(legality_test(poly, e, p).legal
+                    assert not any(legality_test(poly, e, p)
                                    for e in order[:st.edges_tried - 1])
 
     def test_sigma_zero_never_builds_the_bulk_order(self, monkeypatch):
@@ -321,7 +343,7 @@ class TestClassifyImproved:
             for p in lattice_probe_points(poly, rng, 25, clear_of_edges=True):
                 truth = oracle_classify(poly, p)
                 for i in range(n):
-                    if legality_test(poly, i, p).legal:
+                    if legality_test(poly, i, p):
                         got = classify_quad(adjacent_quad(poly, i), p, n)
                         assert got is truth
 

@@ -52,7 +52,7 @@ class TestSidewaysMissHexagon:
         assert classify_quad(q, P_INSIDE, HEXAGON.n) is Classification.OUTSIDE
 
     def test_admission_rejects_edge0(self):
-        assert not legality_test(HEXAGON, 0, P_INSIDE).legal
+        assert not legality_test(HEXAGON, 0, P_INSIDE)
 
     def test_classifier_still_correct_from_any_start(self):
         for k in range(HEXAGON.n):
@@ -82,7 +82,7 @@ class TestSidewaysMissLargePolygon:
         assert classify_quad(q, self.p, self.poly.n) is Classification.OUTSIDE
 
     def test_admission_rejects_and_classifier_recovers(self):
-        assert not legality_test(self.poly, self.top_edge, self.p).legal
+        assert not legality_test(self.poly, self.top_edge, self.p)
         verdict, _ = classify_improved(self.poly, self.p,
                                        Sequential(self.top_edge))
         assert verdict is Classification.INSIDE

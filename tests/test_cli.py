@@ -93,6 +93,28 @@ class TestGenerateValidate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_generate_overflowing_radius_exit2(self, tmp_path, capsys):
+        out = tmp_path / "huge.json"
+        assert main(["generate", "--n", "50", "--seed", "1", "--radius",
+                     "1e160", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: could not generate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1, 0], [1]],
+        [[0, 0], [1, 0], [0, 1, 7]],
+        [0, 1, 2],
+        5,
+    ])
+    def test_validate_malformed_document_exit2(self, tmp_path, capsys,
+                                               vertices):
+        # used to end in a traceback and exit 1, the code for a fuzz
+        # disagreement, or to drop a third coordinate silently
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_validate_rejects_nonconvex(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

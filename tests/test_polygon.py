@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from convexpoint import polygon
-from convexpoint.classify import legality_test
+from convexpoint.classify import (
+    classify_fan_triangulation,
+    classify_improved,
+    classify_raycast,
+    legality_test,
+)
 from convexpoint.geom import EPS, Point, _on_segment_coords, _ring_scan
 from convexpoint.polygon import (
     _VECTOR_MIN,
@@ -79,6 +84,14 @@ class TestValidateConvex:
                for k in range(5)]
         with pytest.raises(NotSimpleError):
             validate_convex(pts)
+
+    @pytest.mark.parametrize("ring", [
+        [(0, 0), (1e160, 0), (0, 1e160)],  # cross products reach inf
+        [(0, 0), (1e155, 1e155), (0, 1e140)],  # a hairpin's reach NaN
+    ])
+    def test_overflowing_cross_product_rejected(self, ring):
+        with pytest.raises(PolygonError, match="overflows"):
+            validate_convex(ring)
 
 
 class TestAdjacentQuad:
@@ -165,6 +178,30 @@ class TestRandomConvex:
             random_convex(12, seed=1, radius=1e-4)
         assert isinstance(info.value, PolygonError)
         assert isinstance(info.value, RuntimeError)
+
+    def test_overflowing_radius_gives_up(self):
+        # at radius 1e160 the cross products overflow; such a ring used to
+        # validate, and the classifiers then disagreed on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GenerationError):
+                random_convex(50, 1, radius=1e160)
+
+    @pytest.mark.parametrize("n", [12, 50])
+    def test_large_radius_below_overflow_agrees(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            poly = random_convex(n, 1, radius=1e150)
+            box = bounding_box(poly)
+            rng = np.random.default_rng(n)
+            for x, y in zip(rng.uniform(box.min.x, box.max.x, 200),
+                            rng.uniform(box.min.y, box.max.y, 200)):
+                p = Point(float(x), float(y))
+                verdicts = {classify_improved(poly, p)[0],
+                            classify_raycast(poly, p)[0],
+                            classify_fan_triangulation(poly, p)[0],
+                            oracle_classify(poly, p)}
+                assert len(verdicts) == 1, p
 
 
 def _indexed_oracle(poly, p, eps):
@@ -474,7 +511,7 @@ class TestSigma:
             for p in pts:
                 for eps in (1e-9, 0.0):
                     assert sigma(poly, p, eps) == sum(
-                        legality_test(poly, i, p, eps).legal
+                        legality_test(poly, i, p, eps)
                         for i in range(n)), (n, p, eps)
 
     def test_square_center_regression(self):
@@ -525,3 +562,15 @@ class TestJsonInterface:
     def test_missing_key_rejected(self):
         with pytest.raises(Exception):
             polygon_from_dict({"points": []})
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"vertices": [[0, 0], [1, 0], [1]]}, "vertex 2 "),
+        ({"vertices": [[0, 0], [1, 0], [0, 1, 7]]}, "vertex 2 "),
+        ({"vertices": [0, 1, 2]}, "vertex 0 "),
+        ({"vertices": 5}, "list of"),
+    ])
+    def test_entry_not_two_numbers_rejected(self, tmp_path, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PolygonError, match=match):
+            load_polygon(str(path))
