@@ -5,10 +5,11 @@ contract.
 perpendicular construction admits the query point, then answers with an
 even-odd ray cast against just the four ring vertices around that edge.
 ``classify_raycast`` and ``classify_fan_triangulation`` are the linear
-baselines. All three decide "on the boundary" with the same eps ring scan
+baselines. All three decide "on the boundary" with the same ring scan
 (``geom._ring_scan``, or its column-array form ``polygon._boundary_scan``
-on large polygons), so comparisons measure algorithmic work, not boundary
-handling.
+on large polygons) and the one band ``geom.EPS``, so comparisons measure
+algorithmic work, not boundary handling. No function here, nor ``sigma``,
+takes a tolerance; only the ground truth ``oracle_classify`` does.
 
 Admission rule ("legality"): edge (a, b) with outer neighbors c and d admits
 a point p exactly when p lies strictly on the edge side of the chord c-d.
@@ -178,15 +179,14 @@ def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
     return order
 
 
-def legality_test(poly: ConvexPolygon, i: int, p: Point,
-                  eps: float = EPS) -> bool:
+def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
     """Admission test for edge ``i`` and query point ``p``: the chord-side
     test around the edge's quad, or for a triangle ``_triangle_admits``."""
     quad = adjacent_quad(poly, i)
     if quad.degenerate:
-        return _triangle_admits(poly.vertices, i, p.x, p.y, eps)
+        return _triangle_admits(poly.vertices, i, p.x, p.y)
     c, d = quad.c, quad.d
-    return ((d.x - c.x) * (p.y - c.y) - (d.y - c.y) * (p.x - c.x)) < -eps
+    return ((d.x - c.x) * (p.y - c.y) - (d.y - c.y) * (p.x - c.x)) < -EPS
 
 
 def _quad_verdict(r: int, n_polygon: int) -> Classification:
@@ -202,8 +202,7 @@ def _quad_verdict(r: int, n_polygon: int) -> Classification:
     return Classification.OUTSIDE
 
 
-def classify_quad(quad: Quad, p: Point, n_polygon: int,
-                  eps: float = EPS) -> Classification:
+def classify_quad(quad: Quad, p: Point, n_polygon: int) -> Classification:
     """Classify ``p`` against the quad ring (c, a, b, d).
 
     The three sides c-a, a-b, b-d are polygon edges, so landing on them is
@@ -217,22 +216,22 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int,
     px, py = p
     c, a, b, d = quad.c, quad.a, quad.b, quad.d
     ring = (a, b, c) if quad.degenerate else (a, b, d, c)
-    return _quad_verdict(_ring_scan(ring, px, py, eps), n_polygon)
+    return _quad_verdict(_ring_scan(ring, px, py, EPS), n_polygon)
 
 
 def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
-              py: float, eps: float) -> tuple[Classification, TrialStats]:
+              py: float) -> tuple[Classification, TrialStats]:
     # Edge i admits the point, so the quad ring (a, b, d, c) around it
     # answers for the whole polygon.
     n = len(verts)
     ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n], verts[i - 1])
-    verdict = _quad_verdict(_ring_scan(ring, px, py, eps), n)
+    verdict = _quad_verdict(_ring_scan(ring, px, py, EPS), n)
     return verdict, TrialStats(tried, tried + 4, i, False)
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
-                      policy: Optional[EdgeOrderPolicy] = None,
-                      eps: float = EPS) -> tuple[Classification, TrialStats]:
+                      policy: Optional[EdgeOrderPolicy] = None
+                      ) -> tuple[Classification, TrialStats]:
     """Perpendicular-admission classifier.
 
     Tries edges in the policy order; the first admitting edge reduces the
@@ -264,8 +263,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # whole order.
         for idx in _order_parts(policy, n)[0]:
             tried += 1
-            if _triangle_admits(verts, idx, px, py, eps):
-                verdict = _quad_verdict(_ring_scan(verts, px, py, eps), n)
+            if _triangle_admits(verts, idx, px, py):
+                verdict = _quad_verdict(_ring_scan(verts, px, py, EPS), n)
                 return verdict, TrialStats(tried, tried + 3, idx, False)
         return Classification.INSIDE, TrialStats(n, n, None, True)
 
@@ -273,33 +272,32 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     ox, oy, r2 = poly.kernel_disk
     dx, dy = px - ox, py - oy
     if dx * dx + dy * dy < r2:
-        mask = _admission_mask(poly, px, py, eps)
+        mask = _admission_mask(poly, px, py)
         # count_nonzero costs about a third of ndarray.any here
         if not np.count_nonzero(mask):
             return Classification.INSIDE, TrialStats(n, n, None, True)
     prefix, rest = _order_parts(policy, n)
     chords = poly.chords
-    neg = -eps
+    neg = -EPS
     for idx in prefix:
         tried += 1
         cx, cy, ux, uy = chords[idx]
         if ux * (py - cy) - uy * (px - cx) < neg:
-            return _admitted(verts, idx, tried, px, py, eps)
+            return _admitted(verts, idx, tried, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
         # in the rest; a point that none admits (sigma = 0) needs no order.
         if mask is None:
-            mask = _admission_mask(poly, px, py, eps)
+            mask = _admission_mask(poly, px, py)
         if np.count_nonzero(mask):
             order = rest()
             pos = int(mask[order].argmax())
-            return _admitted(verts, int(order[pos]), tried + pos + 1,
-                             px, py, eps)
+            return _admitted(verts, int(order[pos]), tried + pos + 1, px, py)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 
 
-def classify_raycast(poly: ConvexPolygon, p: Point,
-                     eps: float = EPS) -> tuple[Classification, TrialStats]:
+def classify_raycast(poly: ConvexPolygon, p: Point
+                     ) -> tuple[Classification, TrialStats]:
     """Even-odd ray casting with an explicit boundary pre-check.
 
     A horizontal rightward ray is crossed by an edge iff exactly one
@@ -312,7 +310,7 @@ def classify_raycast(poly: ConvexPolygon, p: Point,
     px, py = p
     _require_finite(px, py)
     stats = TrialStats(n, n, None, False)
-    r = _boundary_scan(poly, px, py, eps)
+    r = _boundary_scan(poly, px, py, EPS)
     if r < 0:
         return Classification.ON_BOUNDARY, stats
     if r % 2 == 1:
@@ -320,13 +318,12 @@ def classify_raycast(poly: ConvexPolygon, p: Point,
     return Classification.OUTSIDE, stats
 
 
-def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
-                               eps: float = EPS
+def classify_fan_triangulation(poly: ConvexPolygon, p: Point
                                ) -> tuple[Classification, TrialStats]:
     """Linear scan of the fan triangles (V0, Vi, Vi+1), i = 1 .. N-2.
 
     Shares the boundary pre-check with the other classifiers, so the scan
-    needs no tolerance: every point within eps of an edge is already
+    needs no tolerance: every point within EPS of an edge is already
     answered, and a point that survives to the scan is compared with 0.
     Triangle i holds p iff p is on or left of the spoke V0->Vi, on or left
     of the edge Vi->Vi+1, and on or right of the spoke V0->Vi+1. Each spoke's
@@ -344,7 +341,7 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point,
     n = len(verts)
     px, py = p
     _require_finite(px, py)
-    if _boundary_scan(poly, px, py, eps) < 0:
+    if _boundary_scan(poly, px, py, EPS) < 0:
         return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
 
     # intersection_tests: the pre-check's n, the first spoke, one spoke per

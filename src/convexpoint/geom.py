@@ -2,9 +2,8 @@
 perpendicular feet, point-to-segment distance, on-segment tests and the
 boundary-and-crossing ring scan.
 
-Everything here runs in plain double precision with a single absolute
-tolerance ``EPS`` (default 1e-9). Predicates that accept ``eps`` interpret it
-as an absolute distance threshold.
+Everything here runs in plain double precision. ``EPS`` = 1e-9 is the one
+absolute distance tolerance; only ``oracle_classify`` lets a caller set it.
 
 All functions are pure; the value types are immutable and safe to share
 across threads.

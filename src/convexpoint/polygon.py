@@ -40,6 +40,8 @@ from .geom import (
 # 400 box points each, two runs).
 _VECTOR_MIN = 40
 
+_COORD_MAX = 1e152
+
 
 class PolygonError(ValueError):
     """Base class for polygon validation failures."""
@@ -91,7 +93,7 @@ class ConvexPolygon:
         """Per edge i, the chord c = V[i-1] -> d = V[i+2] as
         ``(cx, cy, dx - cx, dy - cy)``, built on first use.
 
-        Edge i admits p iff ``ux * (py - cy) - uy * (px - cx) < -eps``: p
+        Edge i admits p iff ``ux * (py - cy) - uy * (px - cx) < -EPS``: p
         lies strictly on the edge side of its neighbors' chord. For a
         triangle the chord collapses to the opposite vertex (u = 0), so the
         table cannot express the triangle rule; see ``_triangle_admits``. The
@@ -184,7 +186,8 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
     Clockwise input is reversed to counter-clockwise. Raises
     TooFewVerticesError, DuplicateVertexError, NotConvexError or
     NotSimpleError when the ring cannot be normalized, and PolygonError
-    when an entry is not two numbers or the ring's cross products overflow.
+    when an entry is not two numbers or exceeds ``_COORD_MAX`` in magnitude,
+    which keeps every product formed for points in the bounding box finite.
     """
     try:
         entries = list(raw)
@@ -199,10 +202,16 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
         except (TypeError, ValueError):
             raise PolygonError(
                 f"vertex {k} must be two numbers [x, y], got {v!r}") from None
-    _require_finite(*chain.from_iterable(verts))
+    coords = list(chain.from_iterable(verts))
+    # sum() runs in C; it is finite unless a coordinate is not, or is huge
+    if not math.isfinite(sum(coords)):
+        _require_finite(*coords)
     n = len(verts)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
+    if max(map(abs, coords)) > _COORD_MAX:
+        raise PolygonError(f"a coordinate's magnitude exceeds {_COORD_MAX:g},"
+                           " past which a product of coordinates overflows")
 
     # Signed area decides the winding; flip CW rings to CCW.
     area2 = 0.0
@@ -216,8 +225,6 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
 
     # All turns are strictly left; the ring is simple iff it winds exactly
     # once (a star polygon turns left everywhere but winds more than once).
-    # A product of coordinates above about 1e154 overflows to inf or NaN,
-    # which passes a plain ``<= EPS`` or ``> 1e-6`` test.
     turning = 0.0
     a, b = verts[-1], verts[0]
     for i, c in enumerate(verts[1:] + verts[:1]):
@@ -227,14 +234,11 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
             raise NotConvexError(
                 f"consecutive triple around vertex {i} is {kind}; "
                 "strict convexity requires a counter-clockwise turn")
-        if not math.isfinite(d):
-            raise PolygonError(
-                f"cross product around vertex {i} overflows: {d}")
         ux, uy = b.x - a.x, b.y - a.y
         wx, wy = c.x - b.x, c.y - b.y
         turning += math.atan2(ux * wy - uy * wx, ux * wx + uy * wy)
         a, b = b, c
-    if not abs(turning - 2.0 * math.pi) <= 1e-6:  # a NaN sum fails too
+    if abs(turning - 2.0 * math.pi) > 1e-6:
         raise NotSimpleError(
             f"ring winds {turning / (2.0 * math.pi):.3f} times; "
             "a simple convex polygon winds exactly once")
@@ -358,28 +362,27 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     return Classification.INSIDE
 
 
-def _admission_mask(poly: ConvexPolygon, px: float, py: float,
-                    eps: float) -> np.ndarray:
+def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     """Per edge, whether it admits ``(px, py)``: the chord-side test of
     ``ConvexPolygon.chords`` over all edges at once. numpy evaluates the
     same float64 operations one at a time, without fusing them, so entry i
     equals the scalar test of edge i bit for bit. Meaningless for a
     triangle, whose chords collapse to the apex."""
     cx, cy, ux, uy = poly.chord_columns
-    return ux * (py - cy) - uy * (px - cx) < -eps
+    return ux * (py - cy) - uy * (px - cx) < -EPS
 
 
-def _triangle_admits(verts: tuple[Point, ...], i: int, px: float, py: float,
-                     eps: float) -> bool:
+def _triangle_admits(verts: tuple[Point, ...], i: int, px: float,
+                     py: float) -> bool:
     """Whether edge i of the triangle ``verts`` admits ``(px, py)``. Its
     chord collapses to the opposite vertex c, so the perpendicular from p to
     the edge's supporting line must not run through c; when p already sits
     on that line, the perpendicular is p itself."""
     cx, cy = verts[i - 1]
     fx, fy = perpendicular_foot(Point(px, py), verts[i], verts[(i + 1) % 3])
-    if math.hypot(px - fx, py - fy) <= eps:
-        return math.hypot(cx - px, cy - py) > eps
-    return not _on_segment_coords(cx, cy, px, py, fx, fy, eps)
+    if math.hypot(px - fx, py - fy) <= EPS:
+        return math.hypot(cx - px, cy - py) > EPS
+    return not _on_segment_coords(cx, cy, px, py, fx, fy, EPS)
 
 
 def _boundary_scan(poly: ConvexPolygon, px: float, py: float,
@@ -435,16 +438,16 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
     return n - 1
 
 
-def sigma(poly: ConvexPolygon, p: Point, eps: float = EPS) -> int:
+def sigma(poly: ConvexPolygon, p: Point) -> int:
     """Number of edges whose perpendicular passes the legality test for
     ``p``, counted by exhaustive scan over all N edges with the admission
     test of ``classify_improved``: ``_admission_mask``, or for a triangle
     ``_triangle_admits``."""
     px, py = p
     if poly.n == 3:
-        return sum(_triangle_admits(poly.vertices, i, px, py, eps)
+        return sum(_triangle_admits(poly.vertices, i, px, py)
                    for i in range(3))
-    return int(np.count_nonzero(_admission_mask(poly, px, py, eps)))
+    return int(np.count_nonzero(_admission_mask(poly, px, py)))
 
 
 def polygon_to_dict(poly: ConvexPolygon) -> dict:

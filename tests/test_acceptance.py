@@ -34,7 +34,7 @@ from convexpoint.bench import (
     trial_expectation_check,
 )
 from convexpoint.classify import SeededShuffle, classify_improved
-from convexpoint.geom import Point, perpendicular_foot
+from convexpoint.geom import EPS, Point, perpendicular_foot
 from convexpoint.polygon import (
     Classification,
     bounding_box,
@@ -46,8 +46,6 @@ from bandgeom import DirLine, Orientation, band_contains, side_of_line
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "..", "build",
                             "acceptance-reports")
-
-EPS = 1e-9
 
 
 def _archive(name: str, content: str) -> str:

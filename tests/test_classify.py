@@ -174,18 +174,17 @@ class TestClassifyQuad:
     def test_outer_vertices_are_boundary_for_hexagon(self):
         # c and d are polygon vertices that also end the interior chord d-c;
         # the polygon sides through them must win over the chord
-        eps = 1e-9
         for poly in (regular_ngon(6), random_convex(6, seed=11, radius=3)):
             for i in range(6):
                 q = adjacent_quad(poly, i)
                 for v in (q.c, q.d):
-                    assert classify_quad(q, v, 6, eps) \
+                    assert classify_quad(q, v, 6) \
                         is Classification.ON_BOUNDARY
                     for k in range(8):
                         t = 2 * math.pi * k / 8
-                        p = Point(v.x + 0.5 * eps * math.cos(t),
-                                  v.y + 0.5 * eps * math.sin(t))
-                        assert classify_quad(q, p, 6, eps) \
+                        p = Point(v.x + 0.5 * EPS * math.cos(t),
+                                  v.y + 0.5 * EPS * math.sin(t))
+                        assert classify_quad(q, p, 6) \
                             is Classification.ON_BOUNDARY, (i, v, k)
 
     def test_polygon_sides_are_boundary(self):
@@ -576,6 +575,41 @@ class TestClassifyFan:
         verdicts = {r[0] for rows in vector for r in rows}
         assert verdicts == set(Classification)
         assert all("spoke_columns" in poly.__dict__ for poly, _ in cases)
+
+
+class TestToleranceBand:
+    # Every classifier answers with the one absolute band EPS around each
+    # edge, on the scalar path below polygon._VECTOR_MIN vertices and on the
+    # column-array path from it on. The oracle is left out: it compares a
+    # raw cross product, not a distance, with eps (ROADMAP item 1).
+    OFFSETS = ((0.5, Classification.ON_BOUNDARY),
+               (-0.5, Classification.ON_BOUNDARY),
+               (2.0, Classification.OUTSIDE), (5.0, Classification.OUTSIDE),
+               (-2.0, Classification.INSIDE), (-5.0, Classification.INSIDE))
+
+    @pytest.mark.parametrize("n", [12, polygon_module._VECTOR_MIN - 1,
+                                   polygon_module._VECTOR_MIN, 100, 1000])
+    @pytest.mark.parametrize("radius", [1.0, 100.0, 1e4])
+    def test_normal_offsets_from_edge_midpoints(self, n, radius):
+        k = 0
+        for seed in range(3):
+            poly = random_convex(n, seed, radius=radius)
+            verts = poly.vertices
+            for i in range(0, n, max(1, n // 12)):
+                a, b = verts[i], verts[(i + 1) % n]
+                ux, uy = b.x - a.x, b.y - a.y
+                length = math.hypot(ux, uy)
+                for f, want in self.OFFSETS:
+                    # positive f is along the outward normal (uy, -ux)
+                    d = f * EPS / length
+                    p = Point((a.x + b.x) / 2 + d * uy,
+                              (a.y + b.y) / 2 - d * ux)
+                    k += 1
+                    got = (classify_improved(poly, p, SeededShuffle(k))[0],
+                           classify_improved(poly, p, Sequential(k))[0],
+                           classify_raycast(poly, p)[0],
+                           classify_fan_triangulation(poly, p)[0])
+                    assert got == (want,) * 4, (seed, i, f, got)
 
 
 class TestNonFinitePoint:

@@ -115,6 +115,15 @@ class TestGenerateValidate:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_validate_rejects_coordinate_above_bound(self, tmp_path, capsys):
+        # the ring's own cross products stay finite, but the classifiers
+        # multiply coordinate differences by query offsets and overflow
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"vertices": [[0, 0], [1e153, 0], [1e153, 1], [0, 1]]}))
+        assert main(["validate", str(path)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
     def test_validate_rejects_nonconvex(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

@@ -15,7 +15,13 @@ from convexpoint.classify import (
     classify_raycast,
     legality_test,
 )
-from convexpoint.geom import EPS, Point, _on_segment_coords, _ring_scan
+from convexpoint.geom import (
+    EPS,
+    GeometryError,
+    Point,
+    _on_segment_coords,
+    _ring_scan,
+)
 from convexpoint.polygon import (
     _VECTOR_MIN,
     Classification,
@@ -92,6 +98,22 @@ class TestValidateConvex:
     def test_overflowing_cross_product_rejected(self, ring):
         with pytest.raises(PolygonError, match="overflows"):
             validate_convex(ring)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # also when a finite coordinate above the bound comes first, and
+        # when +inf and -inf together would sum to NaN
+        for ring in ([(0, 0), (bad, 1), (1, 1)],
+                     [(1e200, 0), (0, bad), (1, 1)],
+                     [(0, 0), (math.inf, 1), (-math.inf, 1), (bad, 2)]):
+            with pytest.raises(GeometryError, match="not finite"):
+                validate_convex(ring)
+
+    def test_coordinate_bound_is_inclusive(self):
+        ring = [(0, 0), (1e152, 0), (1e152, 1e152), (-1e152, 1)]
+        assert validate_convex(ring).n == 4
+        with pytest.raises(PolygonError, match="exceeds"):
+            validate_convex([(x * 1.0000001, y) for x, y in ring])
 
 
 class TestAdjacentQuad:
@@ -186,6 +208,13 @@ class TestRandomConvex:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(GenerationError):
                 random_convex(50, 1, radius=1e160)
+
+    def test_radius_above_coordinate_bound_gives_up(self):
+        # at radius 5e154 the ring's own cross products stay finite, but
+        # products with query offsets overflow and the classifiers used to
+        # disagree on most bounding-box points
+        with pytest.raises(GenerationError):
+            random_convex(64, 1, radius=5e154)
 
     @pytest.mark.parametrize("n", [12, 50])
     def test_large_radius_below_overflow_agrees(self, n):
@@ -509,10 +538,8 @@ class TestSigma:
             pts += [Point(float(x), float(y))
                     for x, y in rng.uniform(-35, 35, (30, 2))]
             for p in pts:
-                for eps in (1e-9, 0.0):
-                    assert sigma(poly, p, eps) == sum(
-                        legality_test(poly, i, p, eps)
-                        for i in range(n)), (n, p, eps)
+                assert sigma(poly, p) == sum(
+                    legality_test(poly, i, p) for i in range(n)), (n, p)
 
     def test_square_center_regression(self):
         # exhaustive scan over the four edges: every perpendicular from the
