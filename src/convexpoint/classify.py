@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -86,12 +85,13 @@ _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, and a seeded order draws one at a
 # time, before the query tests every edge in one vectorised step (and, if
-# an edge admits, shuffles the rest of the order in bulk). Exterior and
-# near-boundary queries admit within a few trials and rarely get past them.
-# Fewer trials do not pay: at 8, the queries that admit at trials 9-16 also
-# paid for the vectorised step, and exterior p99 rose 1.8-1.9x. Points deep
-# inside, where no edge admits, skip the trials instead through the kernel
-# disk (see ``classify_improved``).
+# an edge admits, ranks the first admitting edge among the rest of the
+# order by uniform keys). Exterior and near-boundary queries admit within
+# a few trials and rarely get past them. Fewer trials do not pay: at 8, the
+# queries that admit at trials 9-16 also paid for the vectorised step, and
+# exterior p99 rose 1.8-1.9x. Points deep inside, where no edge admits,
+# skip the trials instead through the kernel disk (see
+# ``classify_improved``).
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
@@ -106,45 +106,43 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _lazy_draws(seed: int, n: int, moved: dict[int, int]) -> Iterator[int]:
-    # Forward Fisher-Yates over a virtual identity array a (Knuth, TAOCP
-    # vol. 2, 3.4.2, Algorithm P, run from the front): position i takes a[j]
-    # for j uniform in [i, n), and a[j] takes a[i]. ``moved`` holds the
-    # entries of a that differ from their index. j comes from the high bits
-    # of state * (n - i) (Lemire's multiply-shift), biased by under n / 2**64.
-    state = _mix64(seed & _MASK64)
+def _lazy_draws(state: int, n: int, drawn: list[int]) -> Iterator[int]:
+    # The first min(n, _LAZY_DRAWS) edges of a seeded order, from the mixed
+    # seed ``state``, each also appended to ``drawn``. Forward Fisher-Yates
+    # over a virtual identity array a (Knuth, TAOCP vol. 2, 3.4.2, Algorithm
+    # P, run from the front): position i takes a[j] for j uniform in [i, n),
+    # and a[j] takes a[i]. ``moved`` holds the entries of a that differ from
+    # their index. j comes from the high bits of state * (n - i) (Lemire's
+    # multiply-shift), biased by under n / 2**64.
+    moved: dict[int, int] = {}
     get = moved.get
     for i in range(min(n, _LAZY_DRAWS)):
         state = (state * _LCG_MUL + _LCG_INC) & _MASK64
         j = i + ((state * (n - i)) >> 64)
         out = get(j, j)
         moved[j] = get(i, i)
+        drawn.append(out)
         yield out
 
 
-def _bulk_rest(seed: int, n: int, moved: dict[int, int]) -> np.ndarray:
-    # The positions past the lazy draws hold the unvisited edges; one numpy
-    # shuffle of them completes a uniform permutation. Resetting a
-    # thread-local PCG64's state is a pure function of the seed and several
+def _edge_keys(state: int, n: int) -> np.ndarray:
+    # n uniform keys in [0, 1) from a thread-local PCG64 seeded with the
+    # mixed seed ``state``. Independent uniform keys sort into a uniform
+    # permutation (Knuth, TAOCP vol. 2, 3.4.2), so the undrawn edges in
+    # increasing (key, index) order complete the lazy prefix. Resetting the
+    # generator's state is a pure function of the seed and several
     # microseconds cheaper than fresh SeedSequence entropy mixing.
     gen = getattr(_tls, "gen", None)
     if gen is None:
         _tls.bg = np.random.PCG64(0)
         _tls.gen = gen = np.random.Generator(_tls.bg)
-    hi = _mix64(seed & _MASK64)
-    lo = _mix64(hi)
     _tls.bg.state = {
         "bit_generator": "PCG64",
-        "state": {"state": (hi << 64) | lo, "inc": _PCG_INC},
+        "state": {"state": (state << 64) | _mix64(state), "inc": _PCG_INC},
         "has_uint32": 0,
         "uinteger": 0,
     }
-    rest = np.arange(_LAZY_DRAWS, n)
-    for j, v in moved.items():
-        if j >= _LAZY_DRAWS:
-            rest[j - _LAZY_DRAWS] = v
-    gen.shuffle(rest)
-    return rest
+    return gen.random(n)
 
 
 def _require_policy(policy: object) -> None:
@@ -152,30 +150,47 @@ def _require_policy(policy: object) -> None:
         raise TypeError(f"unknown edge order policy: {policy!r}")
 
 
-def _order_parts(policy: EdgeOrderPolicy, n: int
-                 ) -> tuple[Iterable[int], Callable[[], np.ndarray]]:
-    # The policy's order as its first min(n, _LAZY_DRAWS) edges and a
-    # callable that builds the remaining positions as an array. Call it only
-    # when n > _LAZY_DRAWS and after the whole prefix has been read: a seeded
-    # prefix records its swaps in ``moved`` as it is drawn. The caller has
-    # checked the policy with ``_require_policy``.
+def _prefix(policy: EdgeOrderPolicy, n: int
+            ) -> tuple[Iterable[int], list[int], int]:
+    # The policy's first min(n, _LAZY_DRAWS) edges, drawn lazily for a
+    # seeded order; the list that holds them once they have been read; and
+    # the state ``_rest_keys`` continues from (the mixed seed, or the
+    # sequential start). The caller has checked the policy with
+    # ``_require_policy``.
     if isinstance(policy, SeededShuffle):
-        moved: dict[int, int] = {}
-        return (_lazy_draws(policy.seed, n, moved),
-                partial(_bulk_rest, policy.seed, n, moved))
+        state = _mix64(policy.seed & _MASK64)
+        drawn: list[int] = []
+        return _lazy_draws(state, n, drawn), drawn, state
     s = policy.start % n
-    return ([(s + i) % n for i in range(min(n, _LAZY_DRAWS))],
-            lambda: (s + np.arange(_LAZY_DRAWS, n)) % n)
+    drawn = [(s + i) % n for i in range(min(n, _LAZY_DRAWS))]
+    return drawn, drawn, s
+
+
+def _rest_keys(policy: EdgeOrderPolicy, n: int, drawn: list[int],
+               state: int) -> np.ndarray:
+    # One key per edge: the edges not in ``drawn``, by increasing (key,
+    # index), are the rest of the policy's order. The drawn edges get +inf,
+    # so they sort last and count toward no rank. A sequential order keys
+    # each edge by its position. Call it only when n > _LAZY_DRAWS and
+    # after the whole prefix has been read.
+    if isinstance(policy, SeededShuffle):
+        keys = _edge_keys(state, n)
+    else:
+        keys = (np.arange(n, dtype=float) - state) % n
+    for e in drawn:  # half the cost of keys[drawn] = np.inf
+        keys[e] = np.inf
+    return keys
 
 
 def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
     """The complete edge order that ``classify_improved`` visits under
     ``policy``; a query reads only the prefix up to its admitting edge."""
     _require_policy(policy)
-    prefix, rest = _order_parts(policy, n)
+    prefix, drawn, state = _prefix(policy, n)
     order = list(prefix)
     if n > _LAZY_DRAWS:
-        order += rest().tolist()
+        keys = _rest_keys(policy, n, drawn, state)
+        order += np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
     return order
 
 
@@ -241,13 +256,15 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     ``_LAZY_DRAWS`` edges of the order are tried one at a time, so a query
     that admits early pays only for the edges it tries. A query that gets
     past them tests every edge in one vectorised step; only when some edge
-    admits does it build the rest of the order, to find the first admitting
-    edge in it. A point strictly inside ``poly.kernel_disk``, which no edge
-    admits up to rounding, runs the vectorised step first; when no edge
-    admits it, the answer is INSIDE without building any order, and
-    otherwise the query goes on as above with that step's result. The disk
-    only orders the work: every INSIDE from exhaustion comes from testing
-    all N edges. The counters are those of trying the edges one at a time.
+    admits does it draw the keys that rank the rest of the order (see
+    ``_rest_keys``), and the first admitting edge in it is the admitting
+    edge with the least (key, index), found without building the order. A
+    point strictly inside ``poly.kernel_disk``, which no edge admits up to
+    rounding, runs the vectorised step first; when no edge admits it, the
+    answer is INSIDE without drawing any order, and otherwise the query
+    goes on as above with that step's result. The disk only orders the
+    work: every INSIDE from exhaustion comes from testing all N edges. The
+    counters are those of trying the edges one at a time.
     """
     px, py = p
     _require_finite(px, py)
@@ -261,7 +278,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     if n == 3:
         # The quad of a triangle is the triangle itself; the prefix is the
         # whole order.
-        for idx in _order_parts(policy, n)[0]:
+        for idx in _prefix(policy, n)[0]:
             tried += 1
             if _triangle_admits(verts, idx, px, py):
                 verdict = _quad_verdict(_ring_scan(verts, px, py, EPS), n)
@@ -276,7 +293,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # count_nonzero costs about a third of ndarray.any here
         if not np.count_nonzero(mask):
             return Classification.INSIDE, TrialStats(n, n, None, True)
-    prefix, rest = _order_parts(policy, n)
+    prefix, drawn, state = _prefix(policy, n)
     chords = poly.chords
     neg = -EPS
     for idx in prefix:
@@ -286,13 +303,21 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             return _admitted(verts, idx, tried, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
-        # in the rest; a point that none admits (sigma = 0) needs no order.
+        # in the rest; a point that none admits (sigma = 0) draws no keys.
         if mask is None:
             mask = _admission_mask(poly, px, py)
-        if np.count_nonzero(mask):
-            order = rest()
-            pos = int(mask[order].argmax())
-            return _admitted(verts, int(order[pos]), tried + pos + 1, px, py)
+        admitting = mask.nonzero()[0]
+        if admitting.size:
+            # The first admitting edge in the rest has the least (key,
+            # index); argmin breaks ties toward the lower index. Its rank
+            # counts the undrawn edges before it in that order.
+            keys = _rest_keys(policy, n, drawn, state)
+            ka = keys[admitting]
+            k = int(ka.argmin())
+            edge, key = int(admitting[k]), ka[k]
+            rank = int(np.count_nonzero(keys[:edge] <= key)
+                       + np.count_nonzero(keys[edge:] < key))
+            return _admitted(verts, edge, tried + rank + 1, px, py)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 
 

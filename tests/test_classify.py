@@ -43,6 +43,14 @@ def regular_ngon(n, radius=1.0):
          radius * math.sin(2 * math.pi * k / n)) for k in range(n)])
 
 
+def off_midpoint(a, b, off):
+    # the point ``off`` along the outward normal from the midpoint of the
+    # counter-clockwise edge a -> b
+    length = math.hypot(b.x - a.x, b.y - a.y)
+    return Point((a.x + b.x) / 2 + off * (b.y - a.y) / length,
+                 (a.y + b.y) / 2 - off * (b.x - a.x) / length)
+
+
 def lattice_probe_points(poly, rng, count, clear_of_edges=False):
     box = bounding_box(poly)
     lo_x, hi_x = math.floor(box.min.x) - 1, math.ceil(box.max.x) + 1
@@ -65,6 +73,9 @@ class TestEdgeOrder:
     def test_sequential_wraps(self):
         assert edge_order(Sequential(3), 5) == [3, 4, 0, 1, 2]
         assert edge_order(Sequential(0), 3) == [0, 1, 2]
+        # past the lazy prefix, where the rest comes from position keys
+        assert edge_order(Sequential(30), 40) == [(30 + i) % 40
+                                                  for i in range(40)]
 
     @pytest.mark.parametrize("n", [3, _LAZY_DRAWS - 1, _LAZY_DRAWS,
                                    _LAZY_DRAWS + 1, 2000])
@@ -86,7 +97,7 @@ class TestEdgeOrder:
 
     def test_seeded_order_uniform_first_lazy_and_first_bulk_position(self):
         # position 0 comes from the lazy draws, position _LAZY_DRAWS from
-        # the bulk shuffle
+        # the uniform keys
         n, runs = 40, 20_000
         for pos in (0, _LAZY_DRAWS):
             counts = [0] * n
@@ -95,6 +106,26 @@ class TestEdgeOrder:
             expected = runs / n
             chi2 = sum((c - expected) ** 2 / expected for c in counts)
             assert chi2 < 72.05, pos  # 0.999 quantile, 39 degrees of freedom
+
+    # edge_order(SeededShuffle(seed), n)[:_LAZY_DRAWS] as the lazy
+    # Fisher-Yates draws have produced them since they were introduced
+    PINNED_PREFIXES = {
+        (0, 17): [4, 0, 9, 13, 3, 10, 6, 12, 16, 15, 8, 7, 5, 14, 2, 11],
+        (0, 2000): [577, 406, 954, 1439, 1416, 949, 128, 1030, 1814, 1556,
+                    1847, 510, 1996, 928, 1059, 1417],
+        (1, 17): [10, 8, 3, 4, 11, 16, 5, 7, 15, 1, 13, 14, 2, 12, 0, 6],
+        (1, 2000): [1201, 994, 210, 183, 1166, 1904, 1825, 159, 1659, 1573,
+                    1011, 1150, 1176, 708, 613, 1650],
+        (2**63 - 1, 17): [13, 8, 1, 14, 12, 2, 10, 11, 6, 3, 0, 9, 7, 15, 4,
+                          16],
+        (2**63 - 1, 2000): [1617, 948, 814, 1672, 1264, 532, 818, 811, 526,
+                            1275, 872, 1150, 1043, 1445, 74, 1478],
+    }
+
+    @pytest.mark.parametrize("seed, n", sorted(PINNED_PREFIXES))
+    def test_seeded_prefix_stream_is_pinned(self, seed, n):
+        order = edge_order(SeededShuffle(seed), n)
+        assert order[:_LAZY_DRAWS] == self.PINNED_PREFIXES[seed, n]
 
 
 class TestLegality:
@@ -273,9 +304,9 @@ class TestClassifyImproved:
 
     def test_sigma_zero_never_builds_the_bulk_order(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("bulk order built for a sigma = 0 query")
+            raise AssertionError("keys drawn for a sigma = 0 query")
 
-        monkeypatch.setattr(classify_module, "_bulk_rest", fail)
+        monkeypatch.setattr(classify_module, "_edge_keys", fail)
         for n in (_LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             # the chord lines bound a regular n-gon with the kernel disk as
@@ -294,11 +325,65 @@ class TestClassifyImproved:
                     assert verdict is Classification.INSIDE
                     assert stats == TrialStats(n, n, None, True)
 
+    def test_tied_keys_rank_by_edge_index(self, monkeypatch):
+        # with every key tied, the rest of a seeded order is the undrawn
+        # edges by index, on the query path and in edge_order alike
+        monkeypatch.setattr(classify_module, "_edge_keys",
+                            lambda state, n: np.zeros(n))
+        past_prefix = 0
+        for n, seed in [(17, 30), (100, 31), (2000, 32)]:
+            poly = random_convex(n, seed=seed, radius=10)
+            v = poly.vertices
+            points = [
+                off_midpoint(v[k], v[(k + 1) % n], off)
+                for k in np.random.default_rng(seed).integers(0, n, 6).tolist()
+                for off in (2 * EPS, -2 * EPS, 1e-5, -1e-5)]
+            for policy in map(SeededShuffle, range(4)):
+                order = edge_order(policy, n)
+                assert order[_LAZY_DRAWS:] == sorted(order[_LAZY_DRAWS:])
+                for p in points:
+                    _, st = classify_improved(poly, p, policy)
+                    # plain ints, as the reports' JSON needs
+                    assert type(st.edges_tried) is type(st.legal_edge) is int
+                    assert order[st.edges_tried - 1] == st.legal_edge
+                    assert not any(legality_test(poly, e, p)
+                                   for e in order[:st.edges_tried - 1])
+                    past_prefix += st.edges_tried > _LAZY_DRAWS
+        assert past_prefix > 0
+
+    def test_query_admitting_edge_is_uniform(self):
+        # 1e-5 outside the midpoint of an edge of a 200-gon, the edge and
+        # its two neighbours admit (sigma = 3), so most queries get past
+        # the lazy draws and rank the admitting edge by its key
+        n, runs = 200, 6000
+        poly = random_convex(n, seed=33, radius=10)
+        p = off_midpoint(poly.vertices[50], poly.vertices[51], 1e-5)
+        admitting = [e for e in range(n) if legality_test(poly, e, p)]
+        sig = len(admitting)
+        assert sig == sigma(poly, p) == 3
+        counts = dict.fromkeys(admitting, 0)
+        total_tried = 0
+        for seed in range(runs):
+            _, st = classify_improved(poly, p, SeededShuffle(seed))
+            counts[st.legal_edge] += 1
+            total_tried += st.edges_tried
+        expected = runs / sig
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 13.82  # 0.999 quantile, 2 degrees of freedom
+        # the first of sig marked positions in a uniform permutation of n:
+        # mean (n + 1) / (sig + 1), variance
+        # sig (n + 1) (n - sig) / ((sig + 1)^2 (sig + 2))
+        mean = (n + 1) / (sig + 1)
+        var = sig * (n + 1) * (n - sig) / ((sig + 1) ** 2 * (sig + 2))
+        # 3.29 standard errors: two-sided 0.999 normal quantile
+        assert abs(total_tried / runs - mean) < 3.29 * math.sqrt(var / runs)
+
     def test_deep_sigma_zero_draws_no_order(self, monkeypatch):
         def fail(*args):
             raise AssertionError("edge order built for a point in the disk")
 
-        monkeypatch.setattr(classify_module, "_order_parts", fail)
+        monkeypatch.setattr(classify_module, "_prefix", fail)
+        monkeypatch.setattr(classify_module, "_rest_keys", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             ox, oy, r2 = poly.kernel_disk
