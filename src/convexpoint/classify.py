@@ -19,9 +19,10 @@ the perpendicular from p to the edge's supporting line is cut off by the
 chord. Testing the chord side directly is a single cross product and also
 rejects the sideways configurations where a raw segment-versus-segment check
 against the chord would admit an edge whose quad cannot answer for the
-polygon (see tests/test_classify_regressions.py). For triangles the chord
-collapses to the opposite vertex and the rule becomes: the perpendicular
-segment must not pass through that vertex.
+polygon (see tests/test_classify_regressions.py). A triangle's chord
+collapses to its apex, but its quad is the triangle itself, so any
+half-plane serves; ``ConvexPolygon.chords`` gives it one that admits every
+point of the closed triangle, and every polygon runs the one rule.
 """
 from __future__ import annotations
 
@@ -39,8 +40,6 @@ from .polygon import (
     _admission_mask,
     _boundary_scan,
     _fan_wedge,
-    _triangle_admits,
-    adjacent_quad,
 )
 
 DEFAULT_SEED = 1729
@@ -195,18 +194,17 @@ def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
 
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
-    """Admission test for edge ``i`` and query point ``p``: the chord-side
-    test around the edge's quad, or for a triangle ``_triangle_admits``."""
-    quad = adjacent_quad(poly, i)
-    if quad.degenerate:
-        return _triangle_admits(poly.vertices, i, p.x, p.y)
-    c, d = quad.c, quad.d
-    return ((d.x - c.x) * (p.y - c.y) - (d.y - c.y) * (p.x - c.x)) < -EPS
+    """Admission test for edge ``i`` in [0, N) and query point ``p``: the
+    chord-side test of row i of ``ConvexPolygon.chords``."""
+    if not 0 <= i < poly.n:
+        raise IndexError(f"edge index {i} out of range for {poly.n}-gon")
+    cx, cy, ux, uy = poly.chords[i]
+    return ux * (p.y - cy) - uy * (p.x - cx) < -EPS
 
 
 def _quad_verdict(r: int, n_polygon: int) -> Classification:
-    # ``r`` is ``_ring_scan`` over the quad ring (a, b, d, c), or over the
-    # triangle itself. Ring edge 3 is the closing side d-c, a polygon edge
+    # ``r`` is ``_ring_scan`` over the quad ring (a, b, d, c), for a
+    # triangle (a, b, c). Ring edge 3 is the closing side d-c, a polygon edge
     # only when the polygon is a square; otherwise it is an interior chord.
     if r < 0:
         if r == -4 and n_polygon != 4:
@@ -225,23 +223,23 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int) -> Classification:
     polygon is a square (N=4); for N >= 5 it is an interior chord and points
     on it are INSIDE. The scan visits d-c last, so a point near it and near
     a polygon side (the outer vertices c and d) stays ON_BOUNDARY. For a
-    degenerate (triangle) quad the closing side is the single point c, which
-    the c-a side already covers.
+    triangle (N=3) c == d, and the ring is the triangle (a, b, c).
     """
     px, py = p
-    c, a, b, d = quad.c, quad.a, quad.b, quad.d
-    ring = (a, b, c) if quad.degenerate else (a, b, d, c)
+    ring = (quad.a, quad.b, quad.d, quad.c)[:n_polygon]
     return _quad_verdict(_ring_scan(ring, px, py, EPS), n_polygon)
 
 
 def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
               py: float) -> tuple[Classification, TrialStats]:
     # Edge i admits the point, so the quad ring (a, b, d, c) around it
-    # answers for the whole polygon.
+    # answers for the whole polygon; for a triangle, d == c and the ring is
+    # the triangle (a, b, c).
     n = len(verts)
-    ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n], verts[i - 1])
+    ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n],
+            verts[i - 1])[:n]
     verdict = _quad_verdict(_ring_scan(ring, px, py, EPS), n)
-    return verdict, TrialStats(tried, tried + 4, i, False)
+    return verdict, TrialStats(tried, tried + len(ring), i, False)
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
@@ -274,17 +272,6 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     verts = poly.vertices
     n = len(verts)
     tried = 0
-
-    if n == 3:
-        # The quad of a triangle is the triangle itself; the prefix is the
-        # whole order.
-        for idx in _prefix(policy, n)[0]:
-            tried += 1
-            if _triangle_admits(verts, idx, px, py):
-                verdict = _quad_verdict(_ring_scan(verts, px, py, EPS), n)
-                return verdict, TrialStats(tried, tried + 3, idx, False)
-        return Classification.INSIDE, TrialStats(n, n, None, True)
-
     mask = None
     ox, oy, r2 = poly.kernel_disk
     dx, dy = px - ox, py - oy
@@ -333,8 +320,9 @@ def classify_raycast(poly: ConvexPolygon, p: Point
     verts = poly.vertices
     n = len(verts)
     px, py = p
-    _require_finite(px, py)
     stats = TrialStats(n, n, None, False)
+    if not _require_finite(px, py):
+        return Classification.OUTSIDE, stats  # beyond _FAR; see geom
     r = _boundary_scan(poly, px, py, EPS)
     if r < 0:
         return Classification.ON_BOUNDARY, stats
@@ -365,8 +353,8 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point
     verts = poly.vertices
     n = len(verts)
     px, py = p
-    _require_finite(px, py)
-    if _boundary_scan(poly, px, py, EPS) < 0:
+    # a point beyond geom._FAR is far from every edge
+    if _require_finite(px, py) and _boundary_scan(poly, px, py, EPS) < 0:
         return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
 
     # intersection_tests: the pre-check's n, the first spoke, one spoke per

@@ -14,6 +14,13 @@ import math
 from typing import NamedTuple
 
 EPS = 1e-9
+# ``validate_convex`` rejects polygon coordinates above _COORD_MAX in
+# magnitude. A query coordinate up to _FAR = 2**512, about 1.3e154, then
+# keeps every product of a query offset and an edge, chord or spoke vector
+# below 3e306, so nothing overflows. A point beyond it lies outside every
+# polygon and far from every edge.
+_COORD_MAX = 1e152
+_FAR = 2.0 ** 512
 
 
 class GeometryError(ValueError):
@@ -29,10 +36,17 @@ class Point(NamedTuple):
     y: float
 
 
-def _require_finite(*values: float) -> None:
-    for v in values:
+def _require_finite(x: float, y: float) -> bool:
+    """Raise GeometryError unless ``x`` and ``y`` are finite; return
+    whether both are at most ``_FAR`` in magnitude. ``abs(v) <= _FAR`` is
+    false for NaN and +-inf too, so a point within the bound costs two
+    comparisons."""
+    if abs(x) <= _FAR and abs(y) <= _FAR:
+        return True
+    for v in (x, y):
         if not math.isfinite(v):
             raise GeometryError(f"coordinate is not finite: {v!r}")
+    return False
 
 
 def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:

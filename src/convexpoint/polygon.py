@@ -19,13 +19,14 @@ import numpy as np
 
 from .geom import (
     EPS,
+    _COORD_MAX,
+    _FAR,
     Point,
     _cross,
     _dist_point_segment,
     _on_segment_coords,
     _require_finite,
     _ring_scan,
-    perpendicular_foot,
 )
 
 
@@ -39,8 +40,6 @@ from .geom import (
 # 40, 0.73-0.78x at 48 and 0.61-0.68x at 64 (same host, 5 polygons per size,
 # 400 box points each, two runs).
 _VECTOR_MIN = 40
-
-_COORD_MAX = 1e152
 
 
 class PolygonError(ValueError):
@@ -94,13 +93,23 @@ class ConvexPolygon:
         ``(cx, cy, dx - cx, dy - cy)``, built on first use.
 
         Edge i admits p iff ``ux * (py - cy) - uy * (px - cx) < -EPS``: p
-        lies strictly on the edge side of its neighbors' chord. For a
-        triangle the chord collapses to the opposite vertex (u = 0), so the
-        table cannot express the triangle rule; see ``_triangle_admits``. The
-        cache lives in the instance ``__dict__``, outside the dataclass
-        fields, so equality, hashing and repr see only ``vertices``.
+        lies strictly on the edge side of its neighbors' chord. A
+        triangle's chord collapses to its apex c = V[i-1]. Its quad is the
+        triangle itself, so any half-plane serves, and its row is the line
+        parallel to edge a -> b at twice the apex's height,
+        ``(2 cx - ax, 2 cy - ay, bx - ax, by - ay)``. With A the turn cross
+        product and mu the apex's barycentric coordinate of p, the test
+        reads ``A * (2 - mu) > EPS``: all three edges admit every point of
+        the closed triangle, and as the three values sum to 5A, some edge
+        admits any point. The cache lives in the instance ``__dict__``,
+        outside the dataclass fields, so equality, hashing and repr see
+        only ``vertices``.
         """
         v = self.vertices
+        if len(v) == 3:
+            return tuple((2.0 * c.x - a.x, 2.0 * c.y - a.y,
+                          b.x - a.x, b.y - a.y)
+                         for c, a, b in zip(v[-1:] + v[:-1], v, v[1:] + v[:1]))
         return tuple((c.x, c.y, d.x - c.x, d.y - c.y)
                      for c, d in zip(v[-1:] + v[:-1], v[2:] + v[:2]))
 
@@ -141,12 +150,10 @@ class ConvexPolygon:
         the inner side of every chord, so up to rounding no edge admits it.
         ``r2`` is -1, an empty disk, when the centroid is not strictly on
         the inner side of every chord; that always holds for a triangle,
-        whose chords collapse to a vertex, for a square, whose chords are
-        its edges reversed, and for a pentagon.
+        whose every edge admits its centroid, for a square, whose chords
+        are its edges reversed, and for a pentagon.
         """
         o = self.centroid()
-        if self.n == 3:
-            return o.x, o.y, -1.0
         cx, cy, ux, uy = self.chord_columns
         r = float(((ux * (o.y - cy) - uy * (o.x - cx))
                    / np.hypot(ux, uy)).min())
@@ -163,15 +170,13 @@ class Quad:
     """Four consecutive ring vertices (c, a, b, d) around the edge (a, b).
 
     ``c`` and ``d`` are the outer endpoints of the two edges adjacent to
-    (a, b). For a triangle the ring wraps onto itself, c == d, and
-    ``degenerate`` is set: the closing side collapses to the single point c.
+    (a, b). For a triangle the ring wraps onto itself and c == d.
     """
 
     c: Point
     a: Point
     b: Point
     d: Point
-    degenerate: bool
 
 
 class BoundingBox(NamedTuple):
@@ -205,7 +210,8 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
     coords = list(chain.from_iterable(verts))
     # sum() runs in C; it is finite unless a coordinate is not, or is huge
     if not math.isfinite(sum(coords)):
-        _require_finite(*coords)
+        for x, y in verts:
+            _require_finite(x, y)
     n = len(verts)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -248,7 +254,7 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
 
 def adjacent_quad(poly: ConvexPolygon, i: int) -> Quad:
     """Quad around edge ``i``: a = V_i, b = V_{i+1}, c = V_{i-1},
-    d = V_{i+2}, indices mod N. ``degenerate`` is set iff N == 3."""
+    d = V_{i+2}, indices mod N, so c == d for a triangle."""
     n = poly.n
     if not 0 <= i < n:
         raise IndexError(f"edge index {i} out of range for {n}-gon")
@@ -258,7 +264,6 @@ def adjacent_quad(poly: ConvexPolygon, i: int) -> Quad:
         a=v[i],
         b=v[(i + 1) % n],
         d=v[(i + 2) % n],
-        degenerate=(n == 3),
     )
 
 
@@ -329,7 +334,8 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     """
     verts = poly.vertices
     px, py = p
-    _require_finite(px, py)
+    if not _require_finite(px, py):
+        return Classification.OUTSIDE  # beyond _FAR; see geom
     tol = max(eps, EPS)
     if len(verts) >= _VECTOR_MIN:
         ax, ay, _, ux, uy, _ = poly.ring_columns
@@ -366,23 +372,14 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     """Per edge, whether it admits ``(px, py)``: the chord-side test of
     ``ConvexPolygon.chords`` over all edges at once. numpy evaluates the
     same float64 operations one at a time, without fusing them, so entry i
-    equals the scalar test of edge i bit for bit. Meaningless for a
-    triangle, whose chords collapse to the apex."""
+    equals the scalar test of edge i bit for bit. Beyond ``geom._FAR`` the
+    products may overflow, so the offsets are divided by _FAR: a power of
+    two scales every product and difference exactly, and each entry is the
+    unscaled test wherever that stays finite."""
     cx, cy, ux, uy = poly.chord_columns
-    return ux * (py - cy) - uy * (px - cx) < -EPS
-
-
-def _triangle_admits(verts: tuple[Point, ...], i: int, px: float,
-                     py: float) -> bool:
-    """Whether edge i of the triangle ``verts`` admits ``(px, py)``. Its
-    chord collapses to the opposite vertex c, so the perpendicular from p to
-    the edge's supporting line must not run through c; when p already sits
-    on that line, the perpendicular is p itself."""
-    cx, cy = verts[i - 1]
-    fx, fy = perpendicular_foot(Point(px, py), verts[i], verts[(i + 1) % 3])
-    if math.hypot(px - fx, py - fy) <= EPS:
-        return math.hypot(cx - px, cy - py) > EPS
-    return not _on_segment_coords(cx, cy, px, py, fx, fy, EPS)
+    if abs(px) <= _FAR and abs(py) <= _FAR:
+        return ux * (py - cy) - uy * (px - cx) < -EPS
+    return ux * ((py - cy) / _FAR) - uy * ((px - cx) / _FAR) < -EPS / _FAR
 
 
 def _boundary_scan(poly: ConvexPolygon, px: float, py: float,
@@ -417,13 +414,17 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
     the spoke V0->Vi's side value is >= 0 and V0->Vi+1's is <= 0. N - 1
     when there is none. Each side value is ``sx * (py - oy) - sy * (px -
     ox)`` over ``ConvexPolygon.spoke_columns``, all at once from
-    ``_VECTOR_MIN`` vertices on."""
+    ``_VECTOR_MIN`` vertices on, with the offsets scaled beyond
+    ``geom._FAR`` as in ``_admission_mask``."""
     verts = poly.vertices
     n = len(verts)
     ox, oy = verts[0]
     if n >= _VECTOR_MIN:
         sx, sy = poly.spoke_columns
-        side = sx * (py - oy) - sy * (px - ox)
+        dx, dy = px - ox, py - oy
+        if not (abs(px) <= _FAR and abs(py) <= _FAR):
+            dx, dy = dx / _FAR, dy / _FAR
+        side = sx * dy - sy * dx
         wedge = (side[1:-1] >= 0.0) & (side[2:] <= 0.0)
         j = int(wedge.argmax())
         return j + 1 if wedge[j] else n - 1
@@ -441,12 +442,8 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
 def sigma(poly: ConvexPolygon, p: Point) -> int:
     """Number of edges whose perpendicular passes the legality test for
     ``p``, counted by exhaustive scan over all N edges with the admission
-    test of ``classify_improved``: ``_admission_mask``, or for a triangle
-    ``_triangle_admits``."""
+    test of ``classify_improved``, ``_admission_mask``."""
     px, py = p
-    if poly.n == 3:
-        return sum(_triangle_admits(poly.vertices, i, px, py)
-                   for i in range(3))
     return int(np.count_nonzero(_admission_mask(poly, px, py)))
 
 

@@ -49,7 +49,8 @@ class Segment:
     q: Point
 
     def __post_init__(self) -> None:
-        _require_finite(self.p.x, self.p.y, self.q.x, self.q.y)
+        _require_finite(self.p.x, self.p.y)
+        _require_finite(self.q.x, self.q.y)
         if self.p == self.q:
             raise DegenerateEdgeError(
                 f"segment endpoints coincide at {self.p}; "
@@ -78,7 +79,8 @@ class DirLine:
     dy: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.base.x, self.base.y, self.dx, self.dy)
+        _require_finite(self.base.x, self.base.y)
+        _require_finite(self.dx, self.dy)
         if self.dx == 0.0 and self.dy == 0.0:
             raise GeometryError("direction vector must be nonzero")
 

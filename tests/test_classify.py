@@ -2,6 +2,7 @@
 geometry, policy invariance, reduction soundness, and counter contracts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from convexpoint.classify import (
     edge_order,
     legality_test,
 )
-from convexpoint.geom import EPS, GeometryError, Point
+from convexpoint.geom import EPS, GeometryError, Point, perpendicular_foot
 from convexpoint.polygon import (
     Classification,
     ConvexPolygon,
@@ -141,17 +142,102 @@ class TestLegality:
         # answer for this point
         assert not legality_test(SQUARE, 0, Point(0.5, 2.0))
 
+    def test_edge_index_out_of_range(self):
+        for poly in (TRIANGLE, SQUARE):
+            for i in (-1, poly.n):
+                with pytest.raises(IndexError):
+                    legality_test(poly, i, Point(0.25, 0.25))
+
     def test_triangle_perpendicular_through_apex_rejected(self):
-        # apex (1, 1) sits exactly on the perpendicular from (1, 5) to the
-        # base's supporting line
+        # the base's row is its parallel at twice the apex's height, y = 2,
+        # and (1, 5) lies beyond it
         tri = validate_convex([(0, 0), (2, 0), (1, 1)])
         assert not legality_test(tri, 0, Point(1.0, 5.0))
         assert legality_test(tri, 0, Point(1.0, 0.5))
 
 
+class TestTriangleConvention:
+    # A triangle's chord row is edge i's parallel at twice the apex's
+    # height, so every edge admits every point of the closed triangle and
+    # some edge admits any point: no triangle query exhausts, and the
+    # verdict is the triangle's own ring scan. The two thin triangles hold
+    # their centroid within EPS of the base; the parallel through the apex
+    # itself admits it by no edge there.
+    THIN = (((0.0, 0.0), (1.0, 0.0), (0.5, 1.00005e-9)),
+            ((0.0, 0.0), (1.0, 0.0), (0.5, 1.5e-9)))
+
+    @staticmethod
+    def _probes(tri):
+        # the vertices, the centroid, and per edge a -> b with apex c: the
+        # midpoint, +-0.5 and +-2 EPS off it, the altitude ray beyond c,
+        # and the edge's parallels at once and twice c's height
+        v = tri.vertices
+        pts = list(v) + [tri.centroid()]
+        for i in range(3):
+            a, b, c = v[i], v[(i + 1) % 3], v[i - 1]
+            pts += [off_midpoint(a, b, f * EPS)
+                    for f in (0.0, 0.5, -0.5, 2.0, -2.0)]
+            foot = perpendicular_foot(c, a, b)
+            hx, hy = c.x - foot.x, c.y - foot.y
+            pts += [Point(foot.x + t * hx, foot.y + t * hy)
+                    for t in (1.5, 2.0, 3.0, 10.0)]
+            pts += [Point(a.x + s * (b.x - a.x) + k * hx,
+                          a.y + s * (b.y - a.y) + k * hy)
+                    for k in (1.0, 2.0) for s in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+        return pts
+
+    @staticmethod
+    def _closed(tri, p):
+        # exactly, whether p is on the left of or on every edge
+        v = [(Fraction(x), Fraction(y)) for x, y in tri.vertices]
+        px, py = Fraction(p.x), Fraction(p.y)
+        return all((bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0
+                   for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]))
+
+    def _violations(self, tri):
+        # every probe at which ``tri`` breaks the convention
+        bad = []
+        for k, p in enumerate(self._probes(tri)):
+            sig = sigma(tri, p)
+            if sig < 1 or (self._closed(tri, p) and sig != 3):
+                bad.append((p, "sigma", sig))
+            truth = classify_raycast(tri, p)[0]
+            for policy in (SeededShuffle(k), Sequential(0), Sequential(1),
+                           Sequential(2)):
+                verdict, stats = classify_improved(tri, p, policy)
+                if verdict is not truth or stats.exhausted_all or (
+                        edge_order(policy, 3)[stats.edges_tried - 1]
+                        != stats.legal_edge):
+                    bad.append((p, policy, verdict, stats))
+        return bad
+
+    def test_every_probe(self):
+        tris = [random_convex(3, seed, radius)
+                for radius in (1e-2, 1.0, 1e4) for seed in range(8)]
+        tris += [validate_convex(t) for t in self.THIN]
+        for tri in tris:
+            assert self._violations(tri) == [], tri.vertices
+
+    def test_the_apex_parallel_row_fails_on_the_thin_triangles(self):
+        for verts in self.THIN:
+            tri = validate_convex(verts)
+            v = tri.vertices
+            rows = tuple((c.x, c.y, b.x - a.x, b.y - a.y)
+                         for c, a, b in zip(v[-1:] + v[:-1], v, v[1:] + v[:1]))
+            apex = ConvexPolygon(v)
+            apex.__dict__["chords"] = rows
+            apex.__dict__["chord_columns"] = tuple(np.array(rows).T.copy())
+            o = tri.centroid()
+            assert sigma(apex, o) == 0
+            assert classify_improved(apex, o)[0] is Classification.INSIDE
+            assert classify_raycast(tri, o)[0] is Classification.ON_BOUNDARY
+            assert self._violations(apex) != []
+
+
 class TestTriangleRule:
-    # One triangle, base (0,0)-(2,0) and apex (1,1), at points that reach
-    # each branch of the triangle rule: per point, legality_test of edges
+    # One triangle, base (0,0)-(2,0) and apex (1,1), on its edges, on an
+    # edge's line, at its apex and beyond twice the base's apex height: per
+    # point, legality_test of edges
     # 0, 1, 2, then sigma, the verdict, and classify_improved's TrialStats
     # under SeededShuffle(1729), SeededShuffle(5), Sequential(0) and
     # Sequential(2).
@@ -165,12 +251,12 @@ class TestTriangleRule:
         # on the base's line past its end: zero length again, off the edge
         "line_past_end": ((3.0, 0.0), (True, True, True), 3, "outside",
                           ((1, 4, 1), (1, 4, 0), (1, 4, 0), (1, 4, 2))),
-        # the perpendicular to the base runs through the apex
+        # past the base's row, the parallel at twice the apex's height
         "beyond_apex": ((1.0, 5.0), (False, True, True), 2, "outside",
                         ((1, 4, 1), (2, 5, 2), (2, 5, 1), (1, 4, 2))),
-        # the apex is the perpendicular's own end
-        "apex": ((1.0, 1.0), (False, True, True), 2, "boundary",
-                 ((1, 4, 1), (2, 5, 2), (2, 5, 1), (1, 4, 2))),
+        # every edge admits every point of the closed triangle
+        "apex": ((1.0, 1.0), (True, True, True), 3, "boundary",
+                 ((1, 4, 1), (1, 4, 0), (1, 4, 0), (1, 4, 2))),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -695,6 +781,41 @@ class TestToleranceBand:
                            classify_raycast(poly, p)[0],
                            classify_fan_triangulation(poly, p)[0])
                     assert got == (want,) * 4, (seed, i, f, got)
+
+
+class TestFarPoint:
+    # Finite points beyond geom._FAR in a coordinate lie outside every
+    # polygon, and no path may overflow (pytest turns RuntimeWarning into
+    # an error). At R = 1 the unscaled products of the first three points
+    # stay finite, so there the scaled column paths must answer as the
+    # scalar loops and legality_test do.
+    POINTS = (Point(1e250, -1e250), Point(-1e300, 5.0), Point(5.0, 1e300),
+              Point(1e308, 1e308))
+
+    @pytest.mark.parametrize("n", [12, 64, 2000])
+    @pytest.mark.parametrize("radius", [1.0, 1e100])
+    def test_outside_without_overflow(self, n, radius, monkeypatch):
+        poly = random_convex(n, seed=n, radius=radius)
+        outside = Classification.OUTSIDE
+        rows = []
+        for p in self.POINTS:
+            for policy in (SeededShuffle(3), Sequential(n // 2)):
+                verdict, stats = classify_improved(poly, p, policy)
+                assert verdict is outside and not stats.exhausted_all, p
+            assert classify_raycast(poly, p) == (
+                outside, TrialStats(n, n, None, False))
+            fan = classify_fan_triangulation(poly, p)
+            assert fan[0] is outside
+            assert oracle_classify(poly, p) is outside
+            sig = sigma(poly, p)
+            assert sig >= 1
+            rows.append((fan, sig))
+        if radius == 1.0:
+            monkeypatch.setattr(polygon_module, "_VECTOR_MIN", 10**9)
+            for p, (fan, sig) in zip(self.POINTS[:3], rows):
+                assert classify_fan_triangulation(poly, p) == fan, p
+                assert sig == sum(legality_test(poly, i, p)
+                                  for i in range(n)), p
 
 
 class TestNonFinitePoint:

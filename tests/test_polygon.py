@@ -122,12 +122,10 @@ class TestAdjacentQuad:
         q = adjacent_quad(poly, 0)
         assert (q.c, q.a, q.b, q.d) == (Point(0, 1), Point(0, 0),
                                         Point(1, 0), Point(1, 1))
-        assert not q.degenerate
 
     def test_triangle_degenerate(self):
         poly = validate_convex([(0, 0), (1, 0), (0, 1)])
         q = adjacent_quad(poly, 0)
-        assert q.degenerate
         assert q.c == q.d == Point(0, 1)
         assert (q.a, q.b) == (Point(0, 0), Point(1, 0))
 
@@ -415,13 +413,20 @@ class TestSeparation:
 
 class TestChordTable:
     def test_matches_adjacent_quad(self):
+        # a triangle's row is edge a -> b's parallel at twice the height of
+        # its apex c == d
         for n, seed in [(3, 51), (4, 52), (5, 53), (40, 54)]:
             poly = random_convex(n, seed, radius=20)
             assert len(poly.chords) == n
             for i in range(n):
                 q = adjacent_quad(poly, i)
-                assert poly.chords[i] == (q.c.x, q.c.y,
-                                          q.d.x - q.c.x, q.d.y - q.c.y)
+                if n == 3:
+                    assert poly.chords[i] == (
+                        2 * q.c.x - q.a.x, 2 * q.c.y - q.a.y,
+                        q.b.x - q.a.x, q.b.y - q.a.y)
+                else:
+                    assert poly.chords[i] == (q.c.x, q.c.y,
+                                              q.d.x - q.c.x, q.d.y - q.c.y)
 
     def test_raw_constructor_compares_and_hashes_as_before(self):
         verts = random_convex(9, seed=55, radius=3).vertices
@@ -525,8 +530,8 @@ class TestBoundaryScan:
 
 class TestSigma:
     def test_counts_legality_test_admissions(self):
-        # the chord table and legality_test are one admission predicate;
-        # triangles go through the apex rule, and each vertex ends two
+        # the chord table and legality_test are one admission predicate,
+        # for triangles too; each vertex of an n >= 4 polygon ends two
         # chords, where the chord-side test sits on its threshold
         rng = np.random.default_rng(57)
         for n in (3, 3, 4, 5, 8, 30):
