@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .geom import EPS, Point, _require_finite, _ring_scan
+from .geom import EPS, GeometryError, Point, _require_finite, _ring_scan
 from .polygon import (
     Classification,
     ConvexPolygon,
@@ -68,7 +68,8 @@ class TrialStats(NamedTuple):
     ``edges_tried`` is the number of admission trials, ``intersection_tests``
     adds the fixed quad ray-cast work (4 ring edges, 3 for a triangle) on the
     successful trial. ``legal_edge`` is the admitting edge index, absent when
-    every edge was rejected and ``exhausted_all`` is set.
+    every edge was rejected and ``exhausted_all`` is set, and for a point
+    beyond ``geom._FAR``, which no edge is tried for (every counter is 0).
     """
 
     edges_tried: int
@@ -195,9 +196,12 @@ def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
     """Admission test for edge ``i`` in [0, N) and query point ``p``: the
-    chord-side test of row i of ``ConvexPolygon.chords``."""
+    chord-side test of row i of ``ConvexPolygon.chords``. A point beyond
+    ``geom._FAR`` raises GeometryError, as in ``sigma``."""
     if not 0 <= i < poly.n:
         raise IndexError(f"edge index {i} out of range for {poly.n}-gon")
+    if not _require_finite(p.x, p.y):
+        raise GeometryError(f"too far out to count admissions: {p!r}")
     cx, cy, ux, uy = poly.chords[i]
     return ux * (p.y - cy) - uy * (p.x - cx) < -EPS
 
@@ -226,8 +230,10 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int) -> Classification:
     triangle (N=3) c == d, and the ring is the triangle (a, b, c).
     """
     px, py = p
+    if not _require_finite(px, py):
+        return Classification.OUTSIDE
     ring = (quad.a, quad.b, quad.d, quad.c)[:n_polygon]
-    return _quad_verdict(_ring_scan(ring, px, py, EPS), n_polygon)
+    return _quad_verdict(_ring_scan(ring, px, py), n_polygon)
 
 
 def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
@@ -238,7 +244,7 @@ def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
     n = len(verts)
     ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n],
             verts[i - 1])[:n]
-    verdict = _quad_verdict(_ring_scan(ring, px, py, EPS), n)
+    verdict = _quad_verdict(_ring_scan(ring, px, py), n)
     return verdict, TrialStats(tried, tried + len(ring), i, False)
 
 
@@ -265,10 +271,11 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     counters are those of trying the edges one at a time.
     """
     px, py = p
-    _require_finite(px, py)
     if policy is None:
         policy = SeededShuffle(DEFAULT_SEED)
     _require_policy(policy)
+    if not _require_finite(px, py):
+        return Classification.OUTSIDE, TrialStats(0, 0, None, False)
     verts = poly.vertices
     n = len(verts)
     tried = 0
@@ -323,7 +330,7 @@ def classify_raycast(poly: ConvexPolygon, p: Point
     stats = TrialStats(n, n, None, False)
     if not _require_finite(px, py):
         return Classification.OUTSIDE, stats  # beyond _FAR; see geom
-    r = _boundary_scan(poly, px, py, EPS)
+    r = _boundary_scan(poly, px, py)
     if r < 0:
         return Classification.ON_BOUNDARY, stats
     if r % 2 == 1:
@@ -353,8 +360,9 @@ def classify_fan_triangulation(poly: ConvexPolygon, p: Point
     verts = poly.vertices
     n = len(verts)
     px, py = p
-    # a point beyond geom._FAR is far from every edge
-    if _require_finite(px, py) and _boundary_scan(poly, px, py, EPS) < 0:
+    if not _require_finite(px, py):
+        return Classification.OUTSIDE, TrialStats(0, 0, None, False)
+    if _boundary_scan(poly, px, py) < 0:
         return Classification.ON_BOUNDARY, TrialStats(0, n, None, False)
 
     # intersection_tests: the pre-check's n, the first spoke, one spoke per

@@ -3,7 +3,8 @@ perpendicular feet, point-to-segment distance, on-segment tests and the
 boundary-and-crossing ring scan.
 
 Everything here runs in plain double precision. ``EPS`` = 1e-9 is the one
-absolute distance tolerance; only ``oracle_classify`` lets a caller set it.
+absolute distance tolerance; only ``oracle_classify`` lets a caller set
+another. ``_require_finite`` is the one gate for query points (see _FAR).
 
 All functions are pure; the value types are immutable and safe to share
 across threads.
@@ -18,7 +19,8 @@ EPS = 1e-9
 # magnitude. A query coordinate up to _FAR = 2**512, about 1.3e154, then
 # keeps every product of a query offset and an edge, chord or spoke vector
 # below 3e306, so nothing overflows. A point beyond it lies outside every
-# polygon and far from every edge.
+# polygon and far from every edge, so each public gate answers or rejects it
+# and no kernel computes with it.
 _COORD_MAX = 1e152
 _FAR = 2.0 ** 512
 
@@ -37,10 +39,10 @@ class Point(NamedTuple):
 
 
 def _require_finite(x: float, y: float) -> bool:
-    """Raise GeometryError unless ``x`` and ``y`` are finite; return
-    whether both are at most ``_FAR`` in magnitude. ``abs(v) <= _FAR`` is
-    false for NaN and +-inf too, so a point within the bound costs two
-    comparisons."""
+    """The query-point gate: raise GeometryError unless ``x`` and ``y`` are
+    finite; return whether both are within ``_FAR`` in magnitude. ``abs(v)
+    <= _FAR`` is false for NaN and +-inf too, so a point within the bound
+    costs two comparisons."""
     if abs(x) <= _FAR and abs(y) <= _FAR:
         return True
     for v in (x, y):
@@ -94,14 +96,15 @@ def _on_segment_coords(px: float, py: float, ax: float, ay: float,
     return _dist_point_segment(px, py, ax, ay, bx, by) <= eps
 
 
-def _ring_scan(ring, px: float, py: float, eps: float) -> int:
+def _ring_scan(ring, px: float, py: float) -> int:
     """One pass over the closed vertex ``ring``: the even-odd crossing count
     of the rightward ray from (px, py), or ``-1 - k`` for the first ring edge
-    k = (ring[k-1], ring[k]) that lies within ``eps`` of the point.
+    k = (ring[k-1], ring[k]) that lies within ``EPS`` of the point.
 
     The ray counts an edge iff exactly one endpoint is strictly above it and
     the crossing lies strictly right of the point (half-open vertex rule).
     """
+    eps = EPS  # the loop then reads a local, not a global
     crossings = 0
     ax, ay = ring[-1]
     for k, (bx, by) in enumerate(ring):

@@ -20,7 +20,7 @@ import numpy as np
 from .geom import (
     EPS,
     _COORD_MAX,
-    _FAR,
+    GeometryError,
     Point,
     _cross,
     _dist_point_segment,
@@ -372,34 +372,29 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     """Per edge, whether it admits ``(px, py)``: the chord-side test of
     ``ConvexPolygon.chords`` over all edges at once. numpy evaluates the
     same float64 operations one at a time, without fusing them, so entry i
-    equals the scalar test of edge i bit for bit. Beyond ``geom._FAR`` the
-    products may overflow, so the offsets are divided by _FAR: a power of
-    two scales every product and difference exactly, and each entry is the
-    unscaled test wherever that stays finite."""
+    equals the scalar test of edge i bit for bit. The caller's gate keeps
+    the point within ``geom._FAR``, so no product overflows."""
     cx, cy, ux, uy = poly.chord_columns
-    if abs(px) <= _FAR and abs(py) <= _FAR:
-        return ux * (py - cy) - uy * (px - cx) < -EPS
-    return ux * ((py - cy) / _FAR) - uy * ((px - cx) / _FAR) < -EPS / _FAR
+    return ux * (py - cy) - uy * (px - cx) < -EPS
 
 
-def _boundary_scan(poly: ConvexPolygon, px: float, py: float,
-                   eps: float) -> int:
-    """``_ring_scan(poly.vertices, px, py, eps)``, the same value, over
+def _boundary_scan(poly: ConvexPolygon, px: float, py: float) -> int:
+    """``_ring_scan(poly.vertices, px, py)``, the same value, over
     ``ConvexPolygon.ring_columns`` once the polygon has ``_VECTOR_MIN``
-    vertices. The eps candidates come from the same cross product over all
-    edges at once and are confirmed in ring order by the scalar distance,
+    vertices. The ``EPS`` candidates come from the same cross product over
+    all edges at once and are confirmed in ring order by the scalar distance,
     so the first near edge is the same one. The ray then meets only the
     edges that straddle ``py``; each crossing is the scalar expression in
     the same float64 operations, and no horizontal edge straddles, so
     nothing divides by zero."""
     verts = poly.vertices
     if len(verts) < _VECTOR_MIN:
-        return _ring_scan(verts, px, py, eps)
+        return _ring_scan(verts, px, py)
     ax, ay, by, ux, uy, tol = poly.ring_columns
-    near = abs(ux * (py - ay) - uy * (px - ax)) <= eps * tol
+    near = abs(ux * (py - ay) - uy * (px - ax)) <= EPS * tol
     for k in near.nonzero()[0].tolist():
         (x0, y0), (x1, y1) = verts[k - 1], verts[k]
-        if _dist_point_segment(px, py, x0, y0, x1, y1) <= eps:
+        if _dist_point_segment(px, py, x0, y0, x1, y1) <= EPS:
             return -1 - k
     crossings = 0
     for k in ((ay > py) != (by > py)).nonzero()[0].tolist():
@@ -414,17 +409,14 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
     the spoke V0->Vi's side value is >= 0 and V0->Vi+1's is <= 0. N - 1
     when there is none. Each side value is ``sx * (py - oy) - sy * (px -
     ox)`` over ``ConvexPolygon.spoke_columns``, all at once from
-    ``_VECTOR_MIN`` vertices on, with the offsets scaled beyond
-    ``geom._FAR`` as in ``_admission_mask``."""
+    ``_VECTOR_MIN`` vertices on. As in ``_admission_mask``, the point lies
+    within ``geom._FAR``."""
     verts = poly.vertices
     n = len(verts)
     ox, oy = verts[0]
     if n >= _VECTOR_MIN:
         sx, sy = poly.spoke_columns
-        dx, dy = px - ox, py - oy
-        if not (abs(px) <= _FAR and abs(py) <= _FAR):
-            dx, dy = dx / _FAR, dy / _FAR
-        side = sx * dy - sy * dx
+        side = sx * (py - oy) - sy * (px - ox)
         wedge = (side[1:-1] >= 0.0) & (side[2:] <= 0.0)
         j = int(wedge.argmax())
         return j + 1 if wedge[j] else n - 1
@@ -442,8 +434,11 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
 def sigma(poly: ConvexPolygon, p: Point) -> int:
     """Number of edges whose perpendicular passes the legality test for
     ``p``, counted by exhaustive scan over all N edges with the admission
-    test of ``classify_improved``, ``_admission_mask``."""
+    test of ``classify_improved``, ``_admission_mask``. It counts rather
+    than classifies, so a point beyond ``geom._FAR`` raises GeometryError."""
     px, py = p
+    if not _require_finite(px, py):
+        raise GeometryError(f"too far out to count admissions: {p!r}")
     return int(np.count_nonzero(_admission_mask(poly, px, py)))
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from convexpoint import bench
 from convexpoint.bench import (
     CENTROID_RULE,
     NEAR_BOUNDARY_RULE,
@@ -179,6 +180,32 @@ class TestFuzz:
     def test_single_case(self):
         res = run_fuzz(1, max_n=8, seed=3)
         assert res.cases_run == 1 and res.ok
+
+    # the console-script triangle run and the first seed of the benchmark's
+    # fuzz slice
+    @pytest.mark.parametrize("cases,max_n,seed", [(20000, 3, 1),
+                                                  (50, 256, 987654321)])
+    def test_checks_every_point_it_draws(self, cases, max_n, seed,
+                                         monkeypatch):
+        # each polygon draws min(50, cases left) points, so a skipped point
+        # would show as one polygon more than ceil(cases / 50)
+        calls, polygons = [], []
+        verdicts, generate = bench._verdicts, bench.random_convex
+
+        def counted(poly, p, policy_seed):
+            calls.append(p)
+            return verdicts(poly, p, policy_seed)
+
+        def generated(*args):
+            polygons.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(bench, "_verdicts", counted)
+        monkeypatch.setattr(bench, "random_convex", generated)
+        res = run_fuzz(cases, max_n=max_n, seed=seed)
+        assert len(calls) == res.cases_run == res.agreed == cases
+        assert len(polygons) == -(-cases // bench._FUZZ_POINTS_PER_POLYGON)
+        assert res.ok
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,13 @@ from convexpoint.classify import (
     edge_order,
     legality_test,
 )
-from convexpoint.geom import EPS, GeometryError, Point, perpendicular_foot
+from convexpoint.geom import (
+    _FAR,
+    EPS,
+    GeometryError,
+    Point,
+    perpendicular_foot,
+)
 from convexpoint.polygon import (
     Classification,
     ConvexPolygon,
@@ -60,7 +66,7 @@ def lattice_probe_points(poly, rng, count, clear_of_edges=False):
     ys = rng.integers(lo_y, hi_y + 1, count)
     pts = [Point(float(x), float(y)) for x, y in zip(xs, ys)]
     if clear_of_edges:
-        pts = [p for p in pts if _boundary_scan(poly, *p, 1e-8) >= 0]
+        pts = [p for p in pts if _boundary_scan(poly, *p) >= 0]
     return pts
 
 
@@ -784,38 +790,92 @@ class TestToleranceBand:
 
 
 class TestFarPoint:
-    # Finite points beyond geom._FAR in a coordinate lie outside every
-    # polygon, and no path may overflow (pytest turns RuntimeWarning into
-    # an error). At R = 1 the unscaled products of the first three points
-    # stay finite, so there the scaled column paths must answer as the
-    # scalar loops and legality_test do.
+    # A finite point beyond geom._FAR in a coordinate lies outside every
+    # polygon, and the gate answers it before any kernel runs: every
+    # classifier says OUTSIDE (improved and fan without trying an edge),
+    # and sigma and legality_test, which count admissions, raise. pytest
+    # turns RuntimeWarning into an error, so nothing may overflow either.
     POINTS = (Point(1e250, -1e250), Point(-1e300, 5.0), Point(5.0, 1e300),
-              Point(1e308, 1e308))
+              Point(1e308, 1e308), Point(-5.0, math.nextafter(_FAR, math.inf)))
+    # points on the bound itself still reach the kernels
+    AT_BOUND = (Point(_FAR, -_FAR), Point(-_FAR, 5.0), Point(5.0, _FAR))
+    SIZES = (12, 64, 2000)
 
-    @pytest.mark.parametrize("n", [12, 64, 2000])
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("radius", [1.0, 1e100])
-    def test_outside_without_overflow(self, n, radius, monkeypatch):
+    def test_outside_without_overflow(self, n, radius):
         poly = random_convex(n, seed=n, radius=radius)
         outside = Classification.OUTSIDE
-        rows = []
+        untried = (outside, TrialStats(0, 0, None, False))
         for p in self.POINTS:
             for policy in (SeededShuffle(3), Sequential(n // 2)):
-                verdict, stats = classify_improved(poly, p, policy)
-                assert verdict is outside and not stats.exhausted_all, p
+                assert classify_improved(poly, p, policy) == untried, p
             assert classify_raycast(poly, p) == (
                 outside, TrialStats(n, n, None, False))
-            fan = classify_fan_triangulation(poly, p)
-            assert fan[0] is outside
+            assert classify_fan_triangulation(poly, p) == untried
             assert oracle_classify(poly, p) is outside
+            assert oracle_classify(poly, p, 0.0) is outside
+            assert classify_quad(adjacent_quad(poly, n - 1), p, n) is outside
+            with pytest.raises(GeometryError):
+                sigma(poly, p)
+            with pytest.raises(GeometryError):
+                legality_test(poly, n // 2, p)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("radius", [1.0, 1e100])
+    def test_kernels_agree_at_the_bound(self, n, radius, monkeypatch):
+        # at |coordinate| = _FAR the column paths get the point unscaled,
+        # and they answer as the scalar loops and legality_test do
+        poly = random_convex(n, seed=n, radius=radius)
+        rows = []
+        for p in self.AT_BOUND:
+            verdict, _ = classify_improved(poly, p, SeededShuffle(3))
+            assert verdict is Classification.OUTSIDE
+            fan = classify_fan_triangulation(poly, p)
+            assert fan[0] is Classification.OUTSIDE
             sig = sigma(poly, p)
-            assert sig >= 1
-            rows.append((fan, sig))
-        if radius == 1.0:
-            monkeypatch.setattr(polygon_module, "_VECTOR_MIN", 10**9)
-            for p, (fan, sig) in zip(self.POINTS[:3], rows):
-                assert classify_fan_triangulation(poly, p) == fan, p
-                assert sig == sum(legality_test(poly, i, p)
-                                  for i in range(n)), p
+            assert 1 <= sig == sum(legality_test(poly, i, p)
+                                   for i in range(n)), p
+            rows.append(fan)
+        monkeypatch.setattr(polygon_module, "_VECTOR_MIN", 10**9)
+        assert [classify_fan_triangulation(poly, p)
+                for p in self.AT_BOUND] == rows
+
+    def test_no_kernel_sees_a_far_point(self, monkeypatch):
+        # wrap the two numpy kernels where every caller looks them up, then
+        # call every public function that takes a query point
+        seen = []
+
+        def spy(name, real):
+            def kernel(poly, px, py):
+                seen.append((name, max(abs(px), abs(py))))
+                return real(poly, px, py)
+            return kernel
+
+        for name in ("_admission_mask", "_fan_wedge"):
+            wrapped = spy(name, getattr(polygon_module, name))
+            monkeypatch.setattr(polygon_module, name, wrapped)
+            monkeypatch.setattr(classify_module, name, wrapped)
+        for n in self.SIZES:
+            poly = random_convex(n, seed=n)
+            ox, oy, _ = poly.kernel_disk
+            for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy)):
+                classify_improved(poly, p, SeededShuffle(3))
+                classify_improved(poly, p, Sequential(1))
+                classify_raycast(poly, p)
+                classify_fan_triangulation(poly, p)
+                oracle_classify(poly, p)
+                classify_quad(adjacent_quad(poly, 0), p, n)
+                for count in (lambda: sigma(poly, p),
+                              lambda: legality_test(poly, 0, p)):
+                    try:
+                        count()
+                    except GeometryError:
+                        assert p in self.POINTS
+        # the spies were reached, by the two near points only
+        assert {name for name, _ in seen} == {"_admission_mask",
+                                               "_fan_wedge"}
+        assert max(far for _, far in seen) <= 4.0
 
 
 class TestNonFinitePoint:
@@ -833,6 +893,14 @@ class TestNonFinitePoint:
             classify_fan_triangulation(SQUARE, p)
         with pytest.raises(GeometryError):
             oracle_classify(SQUARE, p)
+        with pytest.raises(GeometryError):
+            classify_quad(adjacent_quad(SQUARE, 0), p, 4)
+        with pytest.raises(GeometryError):
+            sigma(SQUARE, p)
+        with pytest.raises(GeometryError):
+            sigma(TRIANGLE, p)
+        with pytest.raises(GeometryError):
+            legality_test(SQUARE, 0, p)
 
 
 class TestBoundaryCompleteness:

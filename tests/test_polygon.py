@@ -457,19 +457,26 @@ class TestChordTable:
 
 class TestBoundaryScan:
     # _boundary_scan must return exactly what the scalar _ring_scan returns
-    # over the polygon's vertices, on both sides of _VECTOR_MIN.
-    EPSILONS = (0.0, 1e-9, 1e-6)
+    # over the polygon's vertices, on both sides of _VECTOR_MIN. Both read
+    # the one band EPS.
+    BAND = (0.5, 0.99, 1.01, 2.0)
 
     @staticmethod
-    def _edge_probes(poly, edges):
+    def _normal(poly, k):
+        # the unit outward normal of ring edge k, from V[k-1] to V[k]
+        (x0, y0), (x1, y1) = poly.vertices[k - 1], poly.vertices[k]
+        length = math.hypot(x1 - x0, y1 - y0)
+        return (y1 - y0) / length, (x0 - x1) / length
+
+    @classmethod
+    def _edge_probes(cls, poly, edges):
         v = poly.vertices
         for k in edges:
             (x0, y0), (x1, y1) = v[k - 1], v[k]
             yield v[k]
             mx, my = (x0 + x1) / 2, (y0 + y1) / 2
             yield Point(mx, my)
-            length = math.hypot(x1 - x0, y1 - y0)
-            nx, ny = (y1 - y0) / length, (x0 - x1) / length
+            nx, ny = cls._normal(poly, k)
             for off in (2e-9, 5e-9, 1e-8, 2e-6, 5e-6, 1e-5):
                 yield Point(mx + off * nx, my + off * ny)
                 yield Point(mx - off * nx, my - off * ny)
@@ -478,10 +485,8 @@ class TestBoundaryScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for p in points:
-                for eps in self.EPSILONS:
-                    assert (_boundary_scan(poly, p.x, p.y, eps)
-                            == _ring_scan(poly.vertices, p.x, p.y, eps)), \
-                        (poly.n, p, eps)
+                assert (_boundary_scan(poly, p.x, p.y)
+                        == _ring_scan(poly.vertices, p.x, p.y)), (poly.n, p)
 
     @pytest.mark.parametrize("n", [_VECTOR_MIN - 1, _VECTOR_MIN,
                                    _VECTOR_MIN + 1, 100, 2000])
@@ -501,8 +506,34 @@ class TestBoundaryScan:
             assert ("ring_columns" in poly.__dict__) is (n >= _VECTOR_MIN)
             # vertex 0 is near both edges 0 and 1; the closing edge 0,
             # from V[n-1], comes first in ring order
-            for eps in (1e-9, 1e-6):
-                assert _boundary_scan(poly, *poly.vertices[0], eps) == -1
+            assert _boundary_scan(poly, *poly.vertices[0]) == -1
+
+    @pytest.mark.parametrize("n", [_VECTOR_MIN - 1, _VECTOR_MIN, 2000])
+    def test_matches_ring_scan_in_the_band(self, n):
+        # probes f * EPS along each edge's outward normal from its midpoint
+        # and from its end vertex, where the band decides: both scans say
+        # boundary at |f| = 0.5 and not at |f| = 2, and agree at 0.99 and
+        # 1.01, whichever way rounding takes them
+        rng = np.random.default_rng(n)
+        for radius in (1.0, 1e4):
+            poly = random_convex(n, seed=70 + n, radius=radius)
+            v = poly.vertices
+            edges = range(n) if n < 100 else rng.integers(0, n, 64).tolist()
+            points = []
+            for k in edges:
+                nx, ny = self._normal(poly, k)
+                mid = Point((v[k - 1].x + v[k].x) / 2,
+                            (v[k - 1].y + v[k].y) / 2)
+                for base in (mid, v[k]):
+                    for f in self.BAND + tuple(-f for f in self.BAND):
+                        p = Point(base.x + f * EPS * nx,
+                                  base.y + f * EPS * ny)
+                        points.append(p)
+                        if abs(f) == 0.5:
+                            assert _boundary_scan(poly, *p) < 0, (k, f)
+                        elif abs(f) == 2.0:
+                            assert _boundary_scan(poly, *p) >= 0, (k, f)
+            self._assert_same(poly, points)
 
     def test_horizontal_edges_at_every_vertex_height(self):
         # exactly horizontal bottom and top edges joined by two half
@@ -522,10 +553,10 @@ class TestBoundaryScan:
                 points.append(Point(x, v.y))
             points.append(Point(v.x - 1e-12, v.y))
         self._assert_same(poly, points)
-        assert _boundary_scan(poly, 0.0, 0.0, 0.0) == 1
-        assert _boundary_scan(poly, 0.0, 1.0, 0.0) < 0
-        assert _boundary_scan(poly, 0.0, -1.0, 0.0) < 0
-        assert _boundary_scan(poly, -2.0, 1.0, 0.0) % 2 == 0
+        assert _boundary_scan(poly, 0.0, 0.0) == 1
+        assert _boundary_scan(poly, 0.0, 1.0) < 0
+        assert _boundary_scan(poly, 0.0, -1.0) < 0
+        assert _boundary_scan(poly, -2.0, 1.0) % 2 == 0
 
 
 class TestSigma:
