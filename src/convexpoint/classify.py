@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -83,15 +83,16 @@ _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 # Knuth's MMIX LCG; only the high bits of its state pick swap positions.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
-# Positions a query tries one at a time, and a seeded order draws one at a
-# time, before the query tests every edge in one vectorised step (and, if
-# an edge admits, ranks the first admitting edge among the rest of the
-# order by uniform keys). Exterior and near-boundary queries admit within
-# a few trials and rarely get past them. Fewer trials do not pay: at 8, the
-# queries that admit at trials 9-16 also paid for the vectorised step, and
-# exterior p99 rose 1.8-1.9x. Points deep inside, where no edge admits,
-# skip the trials instead through the kernel disk (see
-# ``classify_improved``).
+# Positions a query tries one at a time, drawing each seeded one in its
+# trial loop, before it tests every edge in one vectorised step (and, if an
+# edge admits, ranks the first admitting edge among the rest of the order
+# by uniform keys). ``edge_order`` draws the same positions with
+# ``_lazy_draws``, the reference the query's inline draws are tested
+# against. Exterior and near-boundary queries admit within a few trials and
+# rarely get past them. Fewer trials do not pay: at 8, the queries that
+# admit at trials 9-16 also paid for the vectorised step, and exterior p99
+# rose 1.8-1.9x. Points deep inside, where no edge admits, skip the trials
+# instead through the kernel disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
@@ -106,14 +107,15 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _lazy_draws(state: int, n: int, drawn: list[int]) -> Iterator[int]:
+def _lazy_draws(state: int, n: int) -> Iterator[int]:
     # The first min(n, _LAZY_DRAWS) edges of a seeded order, from the mixed
-    # seed ``state``, each also appended to ``drawn``. Forward Fisher-Yates
-    # over a virtual identity array a (Knuth, TAOCP vol. 2, 3.4.2, Algorithm
-    # P, run from the front): position i takes a[j] for j uniform in [i, n),
-    # and a[j] takes a[i]. ``moved`` holds the entries of a that differ from
-    # their index. j comes from the high bits of state * (n - i) (Lemire's
-    # multiply-shift), biased by under n / 2**64.
+    # seed ``state``. Forward Fisher-Yates over a virtual identity array a
+    # (Knuth, TAOCP vol. 2, 3.4.2, Algorithm P, run from the front):
+    # position i takes a[j] for j uniform in [i, n), and a[j] takes a[i].
+    # ``moved`` holds the entries of a that differ from their index. j comes
+    # from the high bits of state * (n - i) (Lemire's multiply-shift),
+    # biased by under n / 2**64. ``classify_improved`` runs the same steps
+    # inline in its trial loop.
     moved: dict[int, int] = {}
     get = moved.get
     for i in range(min(n, _LAZY_DRAWS)):
@@ -121,7 +123,6 @@ def _lazy_draws(state: int, n: int, drawn: list[int]) -> Iterator[int]:
         j = i + ((state * (n - i)) >> 64)
         out = get(j, j)
         moved[j] = get(i, i)
-        drawn.append(out)
         yield out
 
 
@@ -145,34 +146,13 @@ def _edge_keys(state: int, n: int) -> np.ndarray:
     return gen.random(n)
 
 
-def _require_policy(policy: object) -> None:
-    if not isinstance(policy, (SeededShuffle, Sequential)):
-        raise TypeError(f"unknown edge order policy: {policy!r}")
-
-
-def _prefix(policy: EdgeOrderPolicy, n: int
-            ) -> tuple[Iterable[int], list[int], int]:
-    # The policy's first min(n, _LAZY_DRAWS) edges, drawn lazily for a
-    # seeded order; the list that holds them once they have been read; and
-    # the state ``_rest_keys`` continues from (the mixed seed, or the
-    # sequential start). The caller has checked the policy with
-    # ``_require_policy``.
-    if isinstance(policy, SeededShuffle):
-        state = _mix64(policy.seed & _MASK64)
-        drawn: list[int] = []
-        return _lazy_draws(state, n, drawn), drawn, state
-    s = policy.start % n
-    drawn = [(s + i) % n for i in range(min(n, _LAZY_DRAWS))]
-    return drawn, drawn, s
-
-
 def _rest_keys(policy: EdgeOrderPolicy, n: int, drawn: list[int],
                state: int) -> np.ndarray:
     # One key per edge: the edges not in ``drawn``, by increasing (key,
     # index), are the rest of the policy's order. The drawn edges get +inf,
     # so they sort last and count toward no rank. A sequential order keys
     # each edge by its position. Call it only when n > _LAZY_DRAWS and
-    # after the whole prefix has been read.
+    # after the whole prefix has been drawn.
     if isinstance(policy, SeededShuffle):
         keys = _edge_keys(state, n)
     else:
@@ -185,13 +165,18 @@ def _rest_keys(policy: EdgeOrderPolicy, n: int, drawn: list[int],
 def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
     """The complete edge order that ``classify_improved`` visits under
     ``policy``; a query reads only the prefix up to its admitting edge."""
-    _require_policy(policy)
-    prefix, drawn, state = _prefix(policy, n)
-    order = list(prefix)
-    if n > _LAZY_DRAWS:
-        keys = _rest_keys(policy, n, drawn, state)
-        order += np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
-    return order
+    if isinstance(policy, SeededShuffle):
+        state = _mix64(policy.seed & _MASK64)
+        drawn = list(_lazy_draws(state, n))
+    elif isinstance(policy, Sequential):
+        state = policy.start % n
+        drawn = [(state + i) % n for i in range(min(n, _LAZY_DRAWS))]
+    else:
+        raise TypeError(f"unknown edge order policy: {policy!r}")
+    if n <= _LAZY_DRAWS:
+        return drawn
+    keys = _rest_keys(policy, n, drawn, state)
+    return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
 
 
 def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
@@ -240,12 +225,20 @@ def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
               py: float) -> tuple[Classification, TrialStats]:
     # Edge i admits the point, so the quad ring (a, b, d, c) around it
     # answers for the whole polygon; for a triangle, d == c and the ring is
-    # the triangle (a, b, c).
+    # the triangle (a, b, c). Indices i + 1 - n and i + 2 - n wrap without
+    # a modulo.
     n = len(verts)
-    ring = (verts[i], verts[(i + 1) % n], verts[(i + 2) % n],
-            verts[i - 1])[:n]
-    verdict = _quad_verdict(_ring_scan(ring, px, py), n)
-    return verdict, TrialStats(tried, tried + len(ring), i, False)
+    if n == 3:
+        ring = (verts[i], verts[i - 2], verts[i - 1])
+    else:
+        ring = (verts[i], verts[i + 1 - n], verts[i + 2 - n], verts[i - 1])
+    r = _ring_scan(ring, px, py)
+    stats = TrialStats(tried, tried + len(ring), i, False)
+    if r >= 0:
+        if r & 1:
+            return Classification.INSIDE, stats
+        return Classification.OUTSIDE, stats
+    return _quad_verdict(r, n), stats
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
@@ -257,28 +250,33 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     problem to its quad. When every edge rejects, the point sits on the
     polygon side of every neighbor chord, which only happens inside, so the
     verdict is INSIDE with ``exhausted_all`` set. The first
-    ``_LAZY_DRAWS`` edges of the order are tried one at a time, so a query
-    that admits early pays only for the edges it tries. A query that gets
-    past them tests every edge in one vectorised step; only when some edge
-    admits does it draw the keys that rank the rest of the order (see
-    ``_rest_keys``), and the first admitting edge in it is the admitting
-    edge with the least (key, index), found without building the order. A
-    point strictly inside ``poly.kernel_disk``, which no edge admits up to
-    rounding, runs the vectorised step first; when no edge admits it, the
-    answer is INSIDE without drawing any order, and otherwise the query
-    goes on as above with that step's result. The disk only orders the
-    work: every INSIDE from exhaustion comes from testing all N edges. The
-    counters are those of trying the edges one at a time.
+    ``_LAZY_DRAWS`` edges of the order are tried one at a time, each drawn
+    in the trial loop itself (the steps of ``_lazy_draws`` for a seeded
+    order), so a query that admits early pays only for the edges it tries.
+    A query that gets past them tests every edge in one vectorised step;
+    only when some edge admits does it draw the keys that rank the rest of
+    the order (see ``_rest_keys``), and the first admitting edge in it is
+    the admitting edge with the least (key, index), found without building
+    the order. A point strictly inside ``poly.kernel_disk``, which no edge
+    admits up to rounding, runs the vectorised step first; when no edge
+    admits it, the answer is INSIDE without drawing any order, and
+    otherwise the query goes on as above with that step's result. The disk
+    only orders the work: every INSIDE from exhaustion comes from testing
+    all N edges. The counters are those of trying the edges one at a time.
     """
     px, py = p
     if policy is None:
         policy = SeededShuffle(DEFAULT_SEED)
-    _require_policy(policy)
+    if isinstance(policy, SeededShuffle):
+        seeded = True
+    elif isinstance(policy, Sequential):
+        seeded = False
+    else:
+        raise TypeError(f"unknown edge order policy: {policy!r}")
     if not _require_finite(px, py):
         return Classification.OUTSIDE, TrialStats(0, 0, None, False)
     verts = poly.vertices
     n = len(verts)
-    tried = 0
     mask = None
     ox, oy, r2 = poly.kernel_disk
     dx, dy = px - ox, py - oy
@@ -287,14 +285,32 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # count_nonzero costs about a third of ndarray.any here
         if not np.count_nonzero(mask):
             return Classification.INSIDE, TrialStats(n, n, None, True)
-    prefix, drawn, state = _prefix(policy, n)
     chords = poly.chords
     neg = -EPS
-    for idx in prefix:
-        tried += 1
-        cx, cy, ux, uy = chords[idx]
-        if ux * (py - cy) - uy * (px - cx) < neg:
-            return _admitted(verts, idx, tried, px, py)
+    lazy = min(n, _LAZY_DRAWS)
+    drawn: list[int] = []
+    if seeded:
+        # ``_lazy_draws`` from the mixed seed, one draw per trial
+        base = state = _mix64(policy.seed & _MASK64)
+        moved: dict[int, int] = {}
+        get = moved.get
+        for i in range(lazy):
+            state = (state * _LCG_MUL + _LCG_INC) & _MASK64
+            j = i + ((state * (n - i)) >> 64)
+            e = get(j, j)
+            moved[j] = get(i, i)
+            drawn.append(e)
+            cx, cy, ux, uy = chords[e]
+            if ux * (py - cy) - uy * (px - cx) < neg:
+                return _admitted(verts, e, i + 1, px, py)
+    else:
+        base = policy.start % n
+        for i in range(lazy):
+            e = (base + i) % n
+            drawn.append(e)
+            cx, cy, ux, uy = chords[e]
+            if ux * (py - cy) - uy * (px - cx) < neg:
+                return _admitted(verts, e, i + 1, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
         # in the rest; a point that none admits (sigma = 0) draws no keys.
@@ -305,13 +321,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             # The first admitting edge in the rest has the least (key,
             # index); argmin breaks ties toward the lower index. Its rank
             # counts the undrawn edges before it in that order.
-            keys = _rest_keys(policy, n, drawn, state)
+            keys = _rest_keys(policy, n, drawn, base)
             ka = keys[admitting]
             k = int(ka.argmin())
             edge, key = int(admitting[k]), ka[k]
             rank = int(np.count_nonzero(keys[:edge] <= key)
                        + np.count_nonzero(keys[edge:] < key))
-            return _admitted(verts, edge, tried + rank + 1, px, py)
+            return _admitted(verts, edge, lazy + rank + 1, px, py)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 
 
@@ -322,14 +338,14 @@ def classify_raycast(poly: ConvexPolygon, p: Point
     A horizontal rightward ray is crossed by an edge iff exactly one
     endpoint's y strictly exceeds the point's y and the crossing lies
     strictly right of the point. ``intersection_tests`` is the nominal N
-    edge-crossing tests.
+    edge-crossing tests. A point beyond ``geom._FAR`` is answered at the
+    gate without a scan, and every counter is 0.
     """
-    verts = poly.vertices
-    n = len(verts)
     px, py = p
-    stats = TrialStats(n, n, None, False)
     if not _require_finite(px, py):
-        return Classification.OUTSIDE, stats  # beyond _FAR; see geom
+        return Classification.OUTSIDE, TrialStats(0, 0, None, False)
+    n = len(poly.vertices)
+    stats = TrialStats(n, n, None, False)
     r = _boundary_scan(poly, px, py)
     if r < 0:
         return Classification.ON_BOUNDARY, stats

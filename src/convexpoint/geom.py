@@ -108,12 +108,14 @@ def _ring_scan(ring, px: float, py: float) -> int:
     crossings = 0
     ax, ay = ring[-1]
     for k, (bx, by) in enumerate(ring):
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if abs(cr) <= eps * (abs(bx - ax) + abs(by - ay)):
+        ux = bx - ax
+        uy = by - ay
+        cr = ux * (py - ay) - uy * (px - ax)
+        if abs(cr) <= eps * (abs(ux) + abs(uy)):
             if _dist_point_segment(px, py, ax, ay, bx, by) <= eps:
                 return -1 - k
         if (ay > py) != (by > py):
-            if ax + (py - ay) * (bx - ax) / (by - ay) > px:
+            if ax + (py - ay) * ux / uy > px:
                 crossings += 1
         ax, ay = bx, by
     return crossings

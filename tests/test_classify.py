@@ -364,10 +364,14 @@ class TestClassifyImproved:
                 assert st.edges_tried <= n
 
     def test_legal_edge_position_matches_policy_order(self):
-        # 40 edges and more reach past the lazy draws into the vector step
-        # and the bulk order; points just inside or outside an edge are
-        # admitted by few edges, so their admitting edge usually lies there
-        for n, seed in [(12, 8), (40, 9), (300, 10), (1000, 11), (2000, 12)]:
+        # triangles, squares and both sides of _LAZY_DRAWS check the query's
+        # inline draws against edge_order; 40 edges and more reach past the
+        # lazy draws into the vector step and the bulk order, and points
+        # just inside or outside an edge are admitted by few edges, so their
+        # admitting edge usually lies there
+        for n, seed in [(3, 4), (4, 5), (5, 6), (12, 8), (_LAZY_DRAWS, 13),
+                        (_LAZY_DRAWS + 1, 14), (40, 9), (300, 10), (1000, 11),
+                        (2000, 12)]:
             poly = random_convex(n, seed=seed, radius=10)
             rng = np.random.default_rng(3)
             points = lattice_probe_points(poly, rng, 40)
@@ -385,7 +389,12 @@ class TestClassifyImproved:
                 for p in points:
                     _, st = classify_improved(poly, p, policy)
                     if st.legal_edge is None:
+                        assert st == TrialStats(n, n, None, True)
                         continue
+                    quad_work = 3 if n == 3 else 4
+                    assert st == TrialStats(st.edges_tried,
+                                            st.edges_tried + quad_work,
+                                            st.legal_edge, False)
                     assert order[st.edges_tried - 1] == st.legal_edge
                     # the reported edge passes the admission test in
                     # isolation
@@ -474,7 +483,9 @@ class TestClassifyImproved:
         def fail(*args):
             raise AssertionError("edge order built for a point in the disk")
 
-        monkeypatch.setattr(classify_module, "_prefix", fail)
+        # a seeded query mixes its seed before its first trial, and any
+        # query that ranks the rest of the order draws keys
+        monkeypatch.setattr(classify_module, "_mix64", fail)
         monkeypatch.setattr(classify_module, "_rest_keys", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
@@ -792,7 +803,7 @@ class TestToleranceBand:
 class TestFarPoint:
     # A finite point beyond geom._FAR in a coordinate lies outside every
     # polygon, and the gate answers it before any kernel runs: every
-    # classifier says OUTSIDE (improved and fan without trying an edge),
+    # classifier says OUTSIDE without trying an edge (every counter 0),
     # and sigma and legality_test, which count admissions, raise. pytest
     # turns RuntimeWarning into an error, so nothing may overflow either.
     POINTS = (Point(1e250, -1e250), Point(-1e300, 5.0), Point(5.0, 1e300),
@@ -810,8 +821,7 @@ class TestFarPoint:
         for p in self.POINTS:
             for policy in (SeededShuffle(3), Sequential(n // 2)):
                 assert classify_improved(poly, p, policy) == untried, p
-            assert classify_raycast(poly, p) == (
-                outside, TrialStats(n, n, None, False))
+            assert classify_raycast(poly, p) == untried
             assert classify_fan_triangulation(poly, p) == untried
             assert oracle_classify(poly, p) is outside
             assert oracle_classify(poly, p, 0.0) is outside
