@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class SeededShuffle:
     seed: int
 
 
-@dataclass(frozen=True)
-class Sequential:
-    """Visit edges start, start+1, ... wrapping mod N."""
-
-    start: int = 0
-
-
-EdgeOrderPolicy = Union[SeededShuffle, Sequential]
-
-
 class TrialStats(NamedTuple):
     """Per-call instrumentation.
 
@@ -83,8 +73,8 @@ _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 # Knuth's MMIX LCG; only the high bits of its state pick swap positions.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
-# Positions a query tries one at a time, drawing each seeded one in its
-# trial loop, before it tests every edge in one vectorised step (and, if an
+# Positions a query tries one at a time, drawing each one in its trial
+# loop, before it tests every edge in one vectorised step (and, if an
 # edge admits, ranks the first admitting edge among the rest of the order
 # by uniform keys). ``edge_order`` draws the same positions with
 # ``_lazy_draws``, the reference the query's inline draws are tested
@@ -146,36 +136,27 @@ def _edge_keys(state: int, n: int) -> np.ndarray:
     return gen.random(n)
 
 
-def _rest_keys(policy: EdgeOrderPolicy, n: int, drawn: list[int],
-               state: int) -> np.ndarray:
+def _rest_keys(n: int, drawn: list[int], state: int) -> np.ndarray:
     # One key per edge: the edges not in ``drawn``, by increasing (key,
-    # index), are the rest of the policy's order. The drawn edges get +inf,
-    # so they sort last and count toward no rank. A sequential order keys
-    # each edge by its position. Call it only when n > _LAZY_DRAWS and
-    # after the whole prefix has been drawn.
-    if isinstance(policy, SeededShuffle):
-        keys = _edge_keys(state, n)
-    else:
-        keys = (np.arange(n, dtype=float) - state) % n
+    # index), are the rest of the seeded order. The drawn edges get +inf,
+    # so they sort last and count toward no rank. Call it only when
+    # n > _LAZY_DRAWS and after the whole prefix has been drawn.
+    keys = _edge_keys(state, n)
     for e in drawn:  # half the cost of keys[drawn] = np.inf
         keys[e] = np.inf
     return keys
 
 
-def edge_order(policy: EdgeOrderPolicy, n: int) -> list[int]:
+def edge_order(policy: SeededShuffle, n: int) -> list[int]:
     """The complete edge order that ``classify_improved`` visits under
     ``policy``; a query reads only the prefix up to its admitting edge."""
-    if isinstance(policy, SeededShuffle):
-        state = _mix64(policy.seed & _MASK64)
-        drawn = list(_lazy_draws(state, n))
-    elif isinstance(policy, Sequential):
-        state = policy.start % n
-        drawn = [(state + i) % n for i in range(min(n, _LAZY_DRAWS))]
-    else:
+    if not isinstance(policy, SeededShuffle):
         raise TypeError(f"unknown edge order policy: {policy!r}")
+    state = _mix64(policy.seed & _MASK64)
+    drawn = list(_lazy_draws(state, n))
     if n <= _LAZY_DRAWS:
         return drawn
-    keys = _rest_keys(policy, n, drawn, state)
+    keys = _rest_keys(n, drawn, state)
     return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
 
 
@@ -242,36 +223,33 @@ def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
-                      policy: Optional[EdgeOrderPolicy] = None
+                      policy: Optional[SeededShuffle] = None
                       ) -> tuple[Classification, TrialStats]:
     """Perpendicular-admission classifier.
 
-    Tries edges in the policy order; the first admitting edge reduces the
-    problem to its quad. When every edge rejects, the point sits on the
-    polygon side of every neighbor chord, which only happens inside, so the
-    verdict is INSIDE with ``exhausted_all`` set. The first
-    ``_LAZY_DRAWS`` edges of the order are tried one at a time, each drawn
-    in the trial loop itself (the steps of ``_lazy_draws`` for a seeded
-    order), so a query that admits early pays only for the edges it tries.
-    A query that gets past them tests every edge in one vectorised step;
-    only when some edge admits does it draw the keys that rank the rest of
-    the order (see ``_rest_keys``), and the first admitting edge in it is
-    the admitting edge with the least (key, index), found without building
-    the order. A point strictly inside ``poly.kernel_disk``, which no edge
-    admits up to rounding, runs the vectorised step first; when no edge
-    admits it, the answer is INSIDE without drawing any order, and
-    otherwise the query goes on as above with that step's result. The disk
-    only orders the work: every INSIDE from exhaustion comes from testing
-    all N edges. The counters are those of trying the edges one at a time.
+    Tries edges in the seeded order of ``policy`` (``SeededShuffle``, by
+    default ``DEFAULT_SEED``); the first admitting edge reduces the problem
+    to its quad. When every edge rejects, the point sits on the polygon side
+    of every neighbor chord, which only happens inside, so the verdict is
+    INSIDE with ``exhausted_all`` set. The first ``_LAZY_DRAWS`` edges of
+    the order are tried one at a time, each drawn in the trial loop itself
+    (the steps of ``_lazy_draws``), so a query that admits early pays only
+    for the edges it tries. A query that gets past them tests every edge in
+    one vectorised step; only when some edge admits does it draw the keys
+    that rank the rest of the order (see ``_rest_keys``), and the first
+    admitting edge in it is the admitting edge with the least (key, index),
+    found without building the order. A point strictly inside
+    ``poly.kernel_disk``, which no edge admits up to rounding, runs the
+    vectorised step first; when no edge admits it, the answer is INSIDE
+    without drawing any order, and otherwise the query goes on as above with
+    that step's result. The disk only orders the work: every INSIDE from
+    exhaustion comes from testing all N edges. The counters are those of
+    trying the edges one at a time.
     """
     px, py = p
     if policy is None:
         policy = SeededShuffle(DEFAULT_SEED)
-    if isinstance(policy, SeededShuffle):
-        seeded = True
-    elif isinstance(policy, Sequential):
-        seeded = False
-    else:
+    if not isinstance(policy, SeededShuffle):
         raise TypeError(f"unknown edge order policy: {policy!r}")
     if not _require_finite(px, py):
         return Classification.OUTSIDE, TrialStats(0, 0, None, False)
@@ -289,28 +267,19 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     neg = -EPS
     lazy = min(n, _LAZY_DRAWS)
     drawn: list[int] = []
-    if seeded:
-        # ``_lazy_draws`` from the mixed seed, one draw per trial
-        base = state = _mix64(policy.seed & _MASK64)
-        moved: dict[int, int] = {}
-        get = moved.get
-        for i in range(lazy):
-            state = (state * _LCG_MUL + _LCG_INC) & _MASK64
-            j = i + ((state * (n - i)) >> 64)
-            e = get(j, j)
-            moved[j] = get(i, i)
-            drawn.append(e)
-            cx, cy, ux, uy = chords[e]
-            if ux * (py - cy) - uy * (px - cx) < neg:
-                return _admitted(verts, e, i + 1, px, py)
-    else:
-        base = policy.start % n
-        for i in range(lazy):
-            e = (base + i) % n
-            drawn.append(e)
-            cx, cy, ux, uy = chords[e]
-            if ux * (py - cy) - uy * (px - cx) < neg:
-                return _admitted(verts, e, i + 1, px, py)
+    # ``_lazy_draws`` from the mixed seed, one draw per trial
+    base = state = _mix64(policy.seed & _MASK64)
+    moved: dict[int, int] = {}
+    get = moved.get
+    for i in range(lazy):
+        state = (state * _LCG_MUL + _LCG_INC) & _MASK64
+        j = i + ((state * (n - i)) >> 64)
+        e = get(j, j)
+        moved[j] = get(i, i)
+        drawn.append(e)
+        cx, cy, ux, uy = chords[e]
+        if ux * (py - cy) - uy * (px - cx) < neg:
+            return _admitted(verts, e, i + 1, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
         # in the rest; a point that none admits (sigma = 0) draws no keys.
@@ -321,7 +290,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             # The first admitting edge in the rest has the least (key,
             # index); argmin breaks ties toward the lower index. Its rank
             # counts the undrawn edges before it in that order.
-            keys = _rest_keys(policy, n, drawn, base)
+            keys = _rest_keys(n, drawn, base)
             ka = keys[admitting]
             k = int(ka.argmin())
             edge, key = int(admitting[k]), ka[k]

@@ -12,7 +12,6 @@ import convexpoint.polygon as polygon_module
 from convexpoint.classify import (
     _LAZY_DRAWS,
     SeededShuffle,
-    Sequential,
     TrialStats,
     classify_fan_triangulation,
     classify_improved,
@@ -39,6 +38,8 @@ from convexpoint.polygon import (
     sigma,
     validate_convex,
 )
+
+from orders import first_edge_seed
 
 SQUARE = validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = validate_convex([(0, 0), (1, 0), (0, 1)])
@@ -76,13 +77,6 @@ class TestEdgeOrder:
         assert sorted(a) == list(range(40))
         assert a == edge_order(SeededShuffle(7), 40)
         assert a != edge_order(SeededShuffle(8), 40)
-
-    def test_sequential_wraps(self):
-        assert edge_order(Sequential(3), 5) == [3, 4, 0, 1, 2]
-        assert edge_order(Sequential(0), 3) == [0, 1, 2]
-        # past the lazy prefix, where the rest comes from position keys
-        assert edge_order(Sequential(30), 40) == [(30 + i) % 40
-                                                  for i in range(40)]
 
     @pytest.mark.parametrize("n", [3, _LAZY_DRAWS - 1, _LAZY_DRAWS,
                                    _LAZY_DRAWS + 1, 2000])
@@ -208,8 +202,9 @@ class TestTriangleConvention:
             if sig < 1 or (self._closed(tri, p) and sig != 3):
                 bad.append((p, "sigma", sig))
             truth = classify_raycast(tri, p)[0]
-            for policy in (SeededShuffle(k), Sequential(0), Sequential(1),
-                           Sequential(2)):
+            # a probe's own seed, and one seed per first edge
+            for policy in [SeededShuffle(k)] + [
+                    SeededShuffle(first_edge_seed(e, 3)) for e in range(3)]:
                 verdict, stats = classify_improved(tri, p, policy)
                 if verdict is not truth or stats.exhausted_all or (
                         edge_order(policy, 3)[stats.edges_tried - 1]
@@ -243,13 +238,14 @@ class TestTriangleConvention:
 class TestTriangleRule:
     # One triangle, base (0,0)-(2,0) and apex (1,1), on its edges, on an
     # edge's line, at its apex and beyond twice the base's apex height: per
-    # point, legality_test of edges
-    # 0, 1, 2, then sigma, the verdict, and classify_improved's TrialStats
-    # under SeededShuffle(1729), SeededShuffle(5), Sequential(0) and
-    # Sequential(2).
+    # point, legality_test of edges 0, 1, 2, then sigma, the verdict, and
+    # classify_improved's TrialStats under SeededShuffle(1729),
+    # SeededShuffle(5) and the least seeds whose orders start at edges 0
+    # and 2 (the orders 0, 1, 2 and 2, 0, 1).
     TRI = validate_convex([(0, 0), (2, 0), (1, 1)])
-    POLICIES = (SeededShuffle(1729), SeededShuffle(5), Sequential(0),
-                Sequential(2))
+    POLICIES = (SeededShuffle(1729), SeededShuffle(5),
+                SeededShuffle(first_edge_seed(0, 3)),
+                SeededShuffle(first_edge_seed(2, 3)))
     CASES = {
         # on the base: a zero-length perpendicular for edge 0
         "on_edge": ((1.0, 0.0), (True, True, True), 3, "boundary",
@@ -326,14 +322,15 @@ class TestClassifyQuad:
 
 class TestClassifyImproved:
     def test_square_center(self):
-        verdict, stats = classify_improved(SQUARE, Point(0.5, 0.5),
-                                           Sequential(0))
+        verdict, stats = classify_improved(
+            SQUARE, Point(0.5, 0.5), SeededShuffle(first_edge_seed(0, 4)))
         assert verdict is Classification.INSIDE
         assert stats.legal_edge == 0
         assert stats.edges_tried == 1
 
     def test_edge_point_any_policy(self):
-        for policy in (Sequential(0), Sequential(2), SeededShuffle(5),
+        for policy in (SeededShuffle(first_edge_seed(0, 4)),
+                       SeededShuffle(first_edge_seed(2, 4)), SeededShuffle(5),
                        SeededShuffle(77)):
             verdict, _ = classify_improved(SQUARE, Point(0.5, 0.0), policy)
             assert verdict is Classification.ON_BOUNDARY
@@ -383,25 +380,23 @@ class TestClassifyImproved:
                     points.append(
                         Point((a.x + b.x) / 2 + off * (b.y - a.y) / length,
                               (a.y + b.y) / 2 - off * (b.x - a.x) / length))
-            # Sequential(n - 5) wraps past edge n - 1 within the prefix
-            for policy in (SeededShuffle(21), Sequential(n - 5)):
-                order = edge_order(policy, poly.n)
-                for p in points:
-                    _, st = classify_improved(poly, p, policy)
-                    if st.legal_edge is None:
-                        assert st == TrialStats(n, n, None, True)
-                        continue
-                    quad_work = 3 if n == 3 else 4
-                    assert st == TrialStats(st.edges_tried,
-                                            st.edges_tried + quad_work,
-                                            st.legal_edge, False)
-                    assert order[st.edges_tried - 1] == st.legal_edge
-                    # the reported edge passes the admission test in
-                    # isolation
-                    assert legality_test(poly, st.legal_edge, p)
-                    # and every edge tried before it rejects
-                    assert not any(legality_test(poly, e, p)
-                                   for e in order[:st.edges_tried - 1])
+            policy = SeededShuffle(21)
+            order = edge_order(policy, poly.n)
+            for p in points:
+                _, st = classify_improved(poly, p, policy)
+                if st.legal_edge is None:
+                    assert st == TrialStats(n, n, None, True)
+                    continue
+                quad_work = 3 if n == 3 else 4
+                assert st == TrialStats(st.edges_tried,
+                                        st.edges_tried + quad_work,
+                                        st.legal_edge, False)
+                assert order[st.edges_tried - 1] == st.legal_edge
+                # the reported edge passes the admission test in isolation
+                assert legality_test(poly, st.legal_edge, p)
+                # and every edge tried before it rejects
+                assert not any(legality_test(poly, e, p)
+                               for e in order[:st.edges_tried - 1])
 
     def test_sigma_zero_never_builds_the_bulk_order(self, monkeypatch):
         def fail(*args):
@@ -495,10 +490,9 @@ class TestClassifyImproved:
                 Point(ox + 0.5 * r * math.cos(t), oy + 0.5 * r * math.sin(t))
                 for t in (0.3, 2.0, 4.4)]
             for p in deep:
-                for policy in (SeededShuffle(3), Sequential(n // 3)):
-                    verdict, stats = classify_improved(poly, p, policy)
-                    assert verdict is Classification.INSIDE
-                    assert stats == TrialStats(n, n, None, True)
+                verdict, stats = classify_improved(poly, p, SeededShuffle(3))
+                assert verdict is Classification.INSIDE
+                assert stats == TrialStats(n, n, None, True)
 
     def test_unknown_policy_rejected_for_every_point(self):
         for poly in (TRIANGLE, SQUARE, regular_ngon(12), regular_ngon(100)):
@@ -506,6 +500,8 @@ class TestClassifyImproved:
             for p in (Point(ox, oy), poly.vertices[1]):
                 with pytest.raises(TypeError):
                     classify_improved(poly, p, object())
+            with pytest.raises(TypeError):
+                edge_order(object(), poly.n)
 
     def test_policy_invariance(self):
         rng = np.random.default_rng(5)
@@ -514,7 +510,8 @@ class TestClassifyImproved:
             for p in lattice_probe_points(poly, rng, 15):
                 verdicts = set()
                 for k in range(n):
-                    v, _ = classify_improved(poly, p, Sequential(k))
+                    v, _ = classify_improved(
+                        poly, p, SeededShuffle(first_edge_seed(k, n)))
                     verdicts.add(v)
                 for s in range(40):
                     v, _ = classify_improved(poly, p, SeededShuffle(s))
@@ -621,7 +618,8 @@ class TestKernelDisk:
                             (a.y + b.y) / 2 - off * (b.x - a.x) / length))
                 empty = _with_disk(poly, -1.0)
                 plane = _with_disk(poly, math.inf)
-                for policy in (SeededShuffle(5), Sequential(n // 3)):
+                for policy in (SeededShuffle(5),
+                               SeededShuffle(first_edge_seed(n // 3, n))):
                     for p in points:
                         got = classify_improved(poly, p, policy)
                         assert got == classify_improved(empty, p, policy)
@@ -793,8 +791,12 @@ class TestToleranceBand:
                     p = Point((a.x + b.x) / 2 + d * uy,
                               (a.y + b.y) / 2 - d * ux)
                     k += 1
-                    got = (classify_improved(poly, p, SeededShuffle(k))[0],
-                           classify_improved(poly, p, Sequential(k))[0],
+                    # a seed per probe, and the least seed whose order tries
+                    # the probe's edge first; probe seeds are negative, so
+                    # the two orders always differ
+                    own = SeededShuffle(first_edge_seed(i, n))
+                    got = (classify_improved(poly, p, SeededShuffle(-k))[0],
+                           classify_improved(poly, p, own)[0],
                            classify_raycast(poly, p)[0],
                            classify_fan_triangulation(poly, p)[0])
                     assert got == (want,) * 4, (seed, i, f, got)
@@ -819,7 +821,8 @@ class TestFarPoint:
         outside = Classification.OUTSIDE
         untried = (outside, TrialStats(0, 0, None, False))
         for p in self.POINTS:
-            for policy in (SeededShuffle(3), Sequential(n // 2)):
+            for policy in (SeededShuffle(3),
+                           SeededShuffle(first_edge_seed(n // 2, n))):
                 assert classify_improved(poly, p, policy) == untried, p
             assert classify_raycast(poly, p) == untried
             assert classify_fan_triangulation(poly, p) == untried
@@ -871,7 +874,8 @@ class TestFarPoint:
             ox, oy, _ = poly.kernel_disk
             for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy)):
                 classify_improved(poly, p, SeededShuffle(3))
-                classify_improved(poly, p, Sequential(1))
+                classify_improved(poly, p,
+                                  SeededShuffle(first_edge_seed(1, n)))
                 classify_raycast(poly, p)
                 classify_fan_triangulation(poly, p)
                 oracle_classify(poly, p)

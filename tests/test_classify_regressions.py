@@ -12,7 +12,7 @@ every admitted edge's quad verdict provably matches the polygon verdict.
 import math
 
 from convexpoint.classify import (
-    Sequential,
+    SeededShuffle,
     classify_improved,
     classify_quad,
     legality_test,
@@ -26,6 +26,7 @@ from convexpoint.polygon import (
 )
 
 from bandgeom import Segment, segments_intersect
+from orders import first_edge_seed
 
 HEXAGON = validate_convex([(0, 0), (1, 0), (1.05, 0.1), (1.3, 0.9),
                            (1.2, 2.2), (-1, 3)])
@@ -55,8 +56,10 @@ class TestSidewaysMissHexagon:
         assert not legality_test(HEXAGON, 0, P_INSIDE)
 
     def test_classifier_still_correct_from_any_start(self):
-        for k in range(HEXAGON.n):
-            verdict, _ = classify_improved(HEXAGON, P_INSIDE, Sequential(k))
+        n = HEXAGON.n
+        for k in range(n):
+            verdict, _ = classify_improved(
+                HEXAGON, P_INSIDE, SeededShuffle(first_edge_seed(k, n)))
             assert verdict is Classification.INSIDE
 
 
@@ -83,6 +86,6 @@ class TestSidewaysMissLargePolygon:
 
     def test_admission_rejects_and_classifier_recovers(self):
         assert not legality_test(self.poly, self.top_edge, self.p)
-        verdict, _ = classify_improved(self.poly, self.p,
-                                       Sequential(self.top_edge))
+        seed = first_edge_seed(self.top_edge, self.poly.n)
+        verdict, _ = classify_improved(self.poly, self.p, SeededShuffle(seed))
         assert verdict is Classification.INSIDE
