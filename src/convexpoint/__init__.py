@@ -7,13 +7,7 @@ convex polygon generator, and a benchmark harness that validates the
 expected trial-count model E = N / sigma.
 """
 
-from .geom import (
-    EPS,
-    DegenerateEdgeError,
-    GeometryError,
-    Point,
-    perpendicular_foot,
-)
+from .geom import EPS, GeometryError, Point
 from .polygon import (
     BoundingBox,
     Classification,
@@ -43,7 +37,6 @@ from .classify import (
     classify_quad,
     classify_raycast,
     edge_order,
-    legality_test,
 )
 from .bench import (
     CENTROID_RULE,
@@ -71,8 +64,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Point",
     "GeometryError",
-    "DegenerateEdgeError",
-    "perpendicular_foot",
     "Classification",
     "ConvexPolygon",
     "Quad",
@@ -94,7 +85,6 @@ __all__ = [
     "SeededShuffle",
     "TrialStats",
     "edge_order",
-    "legality_test",
     "classify_quad",
     "classify_improved",
     "classify_raycast",

@@ -51,6 +51,7 @@ CLASSIFIERS = {
 }
 
 _SEED_BOUND = 2**63 - 1
+_DRAW_BLOCK = 1 << 20
 
 
 class UnsupportedFormatError(ValueError):
@@ -346,18 +347,18 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
     if sig == 0:
         return ExpectationReport(n, 0, None, observed, None, runs, None, seed)
 
-    log_cache = [0.0] * n
-    for t in range(1, n):
-        log_cache[t] = math.log(t / n)
-    wr_total = 0
-    for k in trials:
-        draws = k
-        for t in range(1, k):
-            u = rng.random()
-            if u <= 0.0:
-                u = 5e-324
-            draws += int(math.log(u) / log_cache[t])
-        wr_total += draws
+    # A run of k trials draws one uniform for each t = 1 .. k - 1, in run
+    # order, as consecutive values of the one stream. Runs go in blocks of
+    # at most _DRAW_BLOCK draws, so memory stays bounded at any ``runs``.
+    log_step = np.array([0.0] + [math.log(t / n) for t in range(1, n)])
+    steps = np.array(trials) - 1
+    wr_total = sum(trials)
+    block = max(1, _DRAW_BLOCK // n)
+    for lo in range(0, runs, block):
+        k = steps[lo:lo + block]
+        t = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k) + 1
+        u = np.maximum(rng.random(t.size), 5e-324)
+        wr_total += int((np.log(u) / log_step[t]).astype(np.int64).sum())
     wr_mean = wr_total / runs
     predicted = n / sig
     rel = abs(wr_mean - predicted) / predicted

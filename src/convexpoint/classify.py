@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geom import EPS, GeometryError, Point, _require_finite, _ring_scan
+from .geom import EPS, Point, _require_finite, _ring_scan
 from .polygon import (
     Classification,
     ConvexPolygon,
@@ -76,9 +76,9 @@ _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, drawing each one in its trial
 # loop, before it tests every edge in one vectorised step (and, if an
 # edge admits, ranks the first admitting edge among the rest of the order
-# by uniform keys). ``edge_order`` draws the same positions with
-# ``_lazy_draws``, the reference the query's inline draws are tested
-# against. Exterior and near-boundary queries admit within a few trials and
+# by uniform keys). ``edge_order`` draws the same positions in a loop of
+# its own, the reference the query's inline draws are tested against.
+# Exterior and near-boundary queries admit within a few trials and
 # rarely get past them. Fewer trials do not pay: at 8, the queries that
 # admit at trials 9-16 also paid for the vectorised step, and exterior p99
 # rose 1.8-1.9x. Points deep inside, where no edge admits, skip the trials
@@ -95,25 +95,6 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def _lazy_draws(state: int, n: int) -> Iterator[int]:
-    # The first min(n, _LAZY_DRAWS) edges of a seeded order, from the mixed
-    # seed ``state``. Forward Fisher-Yates over a virtual identity array a
-    # (Knuth, TAOCP vol. 2, 3.4.2, Algorithm P, run from the front):
-    # position i takes a[j] for j uniform in [i, n), and a[j] takes a[i].
-    # ``moved`` holds the entries of a that differ from their index. j comes
-    # from the high bits of state * (n - i) (Lemire's multiply-shift),
-    # biased by under n / 2**64. ``classify_improved`` runs the same steps
-    # inline in its trial loop.
-    moved: dict[int, int] = {}
-    get = moved.get
-    for i in range(min(n, _LAZY_DRAWS)):
-        state = (state * _LCG_MUL + _LCG_INC) & _MASK64
-        j = i + ((state * (n - i)) >> 64)
-        out = get(j, j)
-        moved[j] = get(i, i)
-        yield out
 
 
 def _edge_keys(state: int, n: int) -> np.ndarray:
@@ -152,24 +133,26 @@ def edge_order(policy: SeededShuffle, n: int) -> list[int]:
     ``policy``; a query reads only the prefix up to its admitting edge."""
     if not isinstance(policy, SeededShuffle):
         raise TypeError(f"unknown edge order policy: {policy!r}")
-    state = _mix64(policy.seed & _MASK64)
-    drawn = list(_lazy_draws(state, n))
+    base = state = _mix64(policy.seed & _MASK64)
+    # The first min(n, _LAZY_DRAWS) edges: forward Fisher-Yates over a
+    # virtual identity array a (Knuth, TAOCP vol. 2, 3.4.2, Algorithm P, run
+    # from the front): position i takes a[j] for j uniform in [i, n), and
+    # a[j] takes a[i]. ``moved`` holds the entries of a that differ from
+    # their index. j comes from the high bits of state * (n - i) (Lemire's
+    # multiply-shift), biased by under n / 2**64. ``classify_improved`` runs
+    # the same steps inline in its trial loop.
+    drawn: list[int] = []
+    moved: dict[int, int] = {}
+    get = moved.get
+    for i in range(min(n, _LAZY_DRAWS)):
+        state = (state * _LCG_MUL + _LCG_INC) & _MASK64
+        j = i + ((state * (n - i)) >> 64)
+        drawn.append(get(j, j))
+        moved[j] = get(i, i)
     if n <= _LAZY_DRAWS:
         return drawn
-    keys = _rest_keys(n, drawn, state)
+    keys = _rest_keys(n, drawn, base)
     return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
-
-
-def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
-    """Admission test for edge ``i`` in [0, N) and query point ``p``: the
-    chord-side test of row i of ``ConvexPolygon.chords``. A point beyond
-    ``geom._FAR`` raises GeometryError, as in ``sigma``."""
-    if not 0 <= i < poly.n:
-        raise IndexError(f"edge index {i} out of range for {poly.n}-gon")
-    if not _require_finite(p.x, p.y):
-        raise GeometryError(f"too far out to count admissions: {p!r}")
-    cx, cy, ux, uy = poly.chords[i]
-    return ux * (p.y - cy) - uy * (p.x - cx) < -EPS
 
 
 def _quad_verdict(r: int, n_polygon: int) -> Classification:
@@ -233,7 +216,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     of every neighbor chord, which only happens inside, so the verdict is
     INSIDE with ``exhausted_all`` set. The first ``_LAZY_DRAWS`` edges of
     the order are tried one at a time, each drawn in the trial loop itself
-    (the steps of ``_lazy_draws``), so a query that admits early pays only
+    (the steps of ``edge_order``), so a query that admits early pays only
     for the edges it tries. A query that gets past them tests every edge in
     one vectorised step; only when some edge admits does it draw the keys
     that rank the rest of the order (see ``_rest_keys``), and the first
@@ -267,7 +250,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     neg = -EPS
     lazy = min(n, _LAZY_DRAWS)
     drawn: list[int] = []
-    # ``_lazy_draws`` from the mixed seed, one draw per trial
+    # ``edge_order``'s draws from the mixed seed, one per trial
     base = state = _mix64(policy.seed & _MASK64)
     moved: dict[int, int] = {}
     get = moved.get

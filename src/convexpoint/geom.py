@@ -1,5 +1,5 @@
-"""Planar primitives the classifiers and the polygon module share:
-perpendicular feet, point-to-segment distance, on-segment tests and the
+"""Planar primitives the classifiers and the polygon module share: the
+query-point gate, point-to-segment distance, on-segment tests and the
 boundary-and-crossing ring scan.
 
 Everything here runs in plain double precision. ``EPS`` = 1e-9 is the one
@@ -29,10 +29,6 @@ class GeometryError(ValueError):
     """Base class for invalid geometric constructions."""
 
 
-class DegenerateEdgeError(GeometryError):
-    """An operation needed two distinct endpoints but got coincident ones."""
-
-
 class Point(NamedTuple):
     x: float
     y: float
@@ -54,21 +50,6 @@ def _require_finite(x: float, y: float) -> bool:
 def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
     # z-component of (a - o) x (b - o)
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def perpendicular_foot(p: Point, a: Point, b: Point) -> Point:
-    """Orthogonal projection of ``p`` onto the supporting line of (a, b).
-
-    The foot is never clamped to the segment: when the projection falls
-    beyond an endpoint it is returned on the line's extension.
-    """
-    ux = b.x - a.x
-    uy = b.y - a.y
-    d2 = ux * ux + uy * uy
-    if d2 == 0.0:
-        raise DegenerateEdgeError(f"edge endpoints coincide at {a}")
-    t = ((p.x - a.x) * ux + (p.y - a.y) * uy) / d2
-    return Point(a.x + t * ux, a.y + t * uy)
 
 
 def _dist_point_segment(px: float, py: float, ax: float, ay: float,

@@ -331,7 +331,13 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     predicate. The edge order cannot change the verdict: any edge strictly
     right gives OUTSIDE, and otherwise a point on some edge beats a point on
     an edge's line beyond the segment, which beats INSIDE.
+
+    ``eps`` must be finite and non-negative; any other value raises
+    ValueError, since NaN, a negative or an infinite band each turn the
+    half-plane tests into a wrong verdict rather than an error.
     """
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     verts = poly.vertices
     px, py = p
     if not _require_finite(px, py):
@@ -432,9 +438,9 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
 
 
 def sigma(poly: ConvexPolygon, p: Point) -> int:
-    """Number of edges whose perpendicular passes the legality test for
-    ``p``, counted by exhaustive scan over all N edges with the admission
-    test of ``classify_improved``, ``_admission_mask``. It counts rather
+    """Number of edges that admit ``p`` by the chord-side test, counted by
+    exhaustive scan over all N edges with the admission test of
+    ``classify_improved``, ``_admission_mask``. It counts rather
     than classifies, so a point beyond ``geom._FAR`` raises GeometryError."""
     px, py = p
     if not _require_finite(px, py):

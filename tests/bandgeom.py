@@ -1,6 +1,8 @@
-"""Two-line band construction used to derive the admission rule, kept for
-the tests that check it: directed lines, their intersection, side-of-line
-and band containment, orientation, closed segments and their intersection.
+"""Test-only geometry: the two-line band construction the admission rule
+was derived from (directed lines, their intersection, side-of-line and band
+containment, orientation, closed segments and their intersection), the
+perpendicular foot it drops, and ``legality_test``, the scalar admission
+test of one edge that the vectorised tests are checked against.
 
 The package classifies with the chord-side test and the ring scan in
 ``convexpoint.geom``; nothing in it calls these. They run in plain double
@@ -16,7 +18,6 @@ from typing import Optional
 
 from convexpoint.geom import (
     EPS,
-    DegenerateEdgeError,
     GeometryError,
     Point,
     _cross,
@@ -24,6 +25,11 @@ from convexpoint.geom import (
     _on_segment_coords,
     _require_finite,
 )
+from convexpoint.polygon import ConvexPolygon
+
+
+class DegenerateEdgeError(GeometryError):
+    """An operation needed two distinct endpoints but got coincident ones."""
 
 
 class InvalidReferenceError(GeometryError):
@@ -194,3 +200,30 @@ def band_contains(p: Point, l1: DirLine, l2: DirLine,
         return False
     p2 = side_of_line(p, l2, eps)
     return p2 is s2 or p2 is Orientation.COLLINEAR
+
+
+def perpendicular_foot(p: Point, a: Point, b: Point) -> Point:
+    """Orthogonal projection of ``p`` onto the supporting line of (a, b).
+
+    The foot is never clamped to the segment: when the projection falls
+    beyond an endpoint it is returned on the line's extension.
+    """
+    ux = b.x - a.x
+    uy = b.y - a.y
+    d2 = ux * ux + uy * uy
+    if d2 == 0.0:
+        raise DegenerateEdgeError(f"edge endpoints coincide at {a}")
+    t = ((p.x - a.x) * ux + (p.y - a.y) * uy) / d2
+    return Point(a.x + t * ux, a.y + t * uy)
+
+
+def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
+    """Admission test for edge ``i`` in [0, N) and query point ``p``: the
+    chord-side test of row i of ``ConvexPolygon.chords``. A point beyond
+    ``geom._FAR`` raises GeometryError, as in ``sigma``."""
+    if not 0 <= i < poly.n:
+        raise IndexError(f"edge index {i} out of range for {poly.n}-gon")
+    if not _require_finite(p.x, p.y):
+        raise GeometryError(f"too far out to count admissions: {p!r}")
+    cx, cy, ux, uy = poly.chords[i]
+    return ux * (p.y - cy) - uy * (p.x - cx) < -EPS

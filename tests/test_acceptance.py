@@ -34,7 +34,7 @@ from convexpoint.bench import (
     trial_expectation_check,
 )
 from convexpoint.classify import SeededShuffle, classify_improved
-from convexpoint.geom import EPS, Point, perpendicular_foot
+from convexpoint.geom import EPS, Point
 from convexpoint.polygon import (
     Classification,
     bounding_box,
@@ -42,7 +42,13 @@ from convexpoint.polygon import (
     sigma,
 )
 
-from bandgeom import DirLine, Orientation, band_contains, side_of_line
+from bandgeom import (
+    DirLine,
+    Orientation,
+    band_contains,
+    perpendicular_foot,
+    side_of_line,
+)
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "..", "build",
                             "acceptance-reports")

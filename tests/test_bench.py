@@ -146,6 +146,15 @@ class TestExpectation:
         assert rep.relative_error is None
         assert rep.observed_mean_trials == n
 
+    def test_pinned_report(self):
+        # the 5% model bounds would still pass a changed run-seed or
+        # uniform stream; these exact values would not
+        rep = trial_expectation_check(random_convex(40, 11, radius=60.0),
+                                      Point(70.0, 0.0), runs=500, seed=7)
+        assert rep.sigma == 8
+        assert rep.observed_mean_trials == 4.726
+        assert rep.with_replacement_mean_trials == 5.19
+
     def test_with_replacement_matches_model_within_5pct(self):
         # measured sigma first, then Monte Carlo against N / sigma
         poly = random_convex(16, seed=5, radius=100)

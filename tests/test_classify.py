@@ -18,14 +18,12 @@ from convexpoint.classify import (
     classify_quad,
     classify_raycast,
     edge_order,
-    legality_test,
 )
 from convexpoint.geom import (
     _FAR,
     EPS,
     GeometryError,
     Point,
-    perpendicular_foot,
 )
 from convexpoint.polygon import (
     Classification,
@@ -39,6 +37,7 @@ from convexpoint.polygon import (
     validate_convex,
 )
 
+from bandgeom import legality_test, perpendicular_foot
 from orders import first_edge_seed
 
 SQUARE = validate_convex([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -15,9 +15,8 @@ from convexpoint.classify import (
     SeededShuffle,
     classify_improved,
     classify_quad,
-    legality_test,
 )
-from convexpoint.geom import Point, perpendicular_foot
+from convexpoint.geom import Point
 from convexpoint.polygon import (
     Classification,
     adjacent_quad,
@@ -25,7 +24,12 @@ from convexpoint.polygon import (
     validate_convex,
 )
 
-from bandgeom import Segment, segments_intersect
+from bandgeom import (
+    Segment,
+    legality_test,
+    perpendicular_foot,
+    segments_intersect,
+)
 from orders import first_edge_seed
 
 HEXAGON = validate_convex([(0, 0), (1, 0), (1.05, 0.1), (1.3, 0.9),

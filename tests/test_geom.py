@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from convexpoint.geom import (
-    DegenerateEdgeError,
-    GeometryError,
-    Point,
-    perpendicular_foot,
-)
+from convexpoint.geom import GeometryError, Point
 
 from bandgeom import (
+    DegenerateEdgeError,
     DirLine,
     InvalidReferenceError,
     Orientation,
@@ -21,6 +17,7 @@ from bandgeom import (
     band_contains,
     line_intersection,
     orientation,
+    perpendicular_foot,
     point_on_segment,
     segments_intersect,
     side_of_line,

@@ -13,7 +13,6 @@ from convexpoint.classify import (
     classify_fan_triangulation,
     classify_improved,
     classify_raycast,
-    legality_test,
 )
 from convexpoint.geom import (
     EPS,
@@ -43,6 +42,8 @@ from convexpoint.polygon import (
     sigma,
     validate_convex,
 )
+
+from bandgeom import legality_test
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -296,6 +297,21 @@ class TestOracle:
                 assert oracle_classify(poly, v) is Classification.ON_BOUNDARY
             assert oracle_classify(poly, poly.centroid()) \
                 is Classification.INSIDE
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_rejects_eps_outside_zero_to_inf(self, n):
+        # n = 4 takes the scalar loop and n = 64 the column path. Unchecked,
+        # each eps gives a wrong verdict: nan INSIDE at (5, 5), -1 OUTSIDE
+        # at the centre, inf ON_BOUNDARY everywhere.
+        poly = validate_convex(SQUARE) if n == 4 else regular_ngon(n)
+        centre = poly.centroid()
+        for eps in (math.nan, -1.0, math.inf):
+            for p in (Point(5, 5), centre):
+                with pytest.raises(ValueError, match="eps"):
+                    oracle_classify(poly, p, eps)
+        assert oracle_classify(poly, Point(5, 5), 0.0) \
+            is Classification.OUTSIDE
+        assert oracle_classify(poly, centre, 0.0) is Classification.INSIDE
 
     @staticmethod
     def _polygons(n):
