@@ -1,6 +1,7 @@
 """Planar primitives the classifiers and the polygon module share: the
 query-point gate, point-to-segment distance, on-segment tests and the
-boundary-and-crossing ring scan.
+boundary-and-crossing ring scan. ``validate_convex``'s ring rules need no
+scalar helper here: they are array expressions in ``polygon._ccw_ring``.
 
 Everything here runs in plain double precision. ``EPS`` = 1e-9 is the one
 absolute distance tolerance; only ``oracle_classify`` lets a caller set
@@ -45,11 +46,6 @@ def _require_finite(x: float, y: float) -> bool:
         if not math.isfinite(v):
             raise GeometryError(f"coordinate is not finite: {v!r}")
     return False
-
-
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    # z-component of (a - o) x (b - o)
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def _dist_point_segment(px: float, py: float, ax: float, ay: float,

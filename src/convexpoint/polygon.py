@@ -22,7 +22,6 @@ from .geom import (
     _COORD_MAX,
     GeometryError,
     Point,
-    _cross,
     _dist_point_segment,
     _on_segment_coords,
     _require_finite,
@@ -193,6 +192,8 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
     NotSimpleError when the ring cannot be normalized, and PolygonError
     when an entry is not two numbers or exceeds ``_COORD_MAX`` in magnitude,
     which keeps every product formed for points in the bounding box finite.
+    Entries are parsed one by one; the ring rules then run as array
+    expressions over one float64 array, in ``_ccw_ring``.
     """
     try:
         entries = list(raw)
@@ -207,49 +208,59 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
         except (TypeError, ValueError):
             raise PolygonError(
                 f"vertex {k} must be two numbers [x, y], got {v!r}") from None
-    coords = list(chain.from_iterable(verts))
-    # sum() runs in C; it is finite unless a coordinate is not, or is huge
-    if not math.isfinite(sum(coords)):
-        for x, y in verts:
-            _require_finite(x, y)
-    n = len(verts)
-    if n < 3:
-        raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
-    if max(map(abs, coords)) > _COORD_MAX:
+    xy = np.fromiter(chain.from_iterable(verts), np.float64).reshape(-1, 2)
+    if _ccw_ring(xy) is not xy:
+        verts.reverse()
+    return ConvexPolygon(tuple(verts))
+
+
+def _ccw_ring(xy: np.ndarray) -> np.ndarray:
+    """Check the (n, 2) float64 ring ``xy`` by the rules of
+    ``validate_convex``, raising its errors, and return it counter-clockwise:
+    ``xy`` itself or its reversed view. Each rule is an array expression in
+    the float64 operations of the per-vertex loop that the tests keep."""
+    n = len(xy)
+    if n < 3 or not abs(xy).max() <= _COORD_MAX:  # a NaN max fails too
+        if not np.isfinite(xy).all():  # the first non-finite entry raises
+            _require_finite(*xy[np.isfinite(xy).all(axis=1).argmin()].tolist())
+        if n < 3:
+            raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
         raise PolygonError(f"a coordinate's magnitude exceeds {_COORD_MAX:g},"
                            " past which a product of coordinates overflows")
-
-    # Signed area decides the winding; flip CW rings to CCW.
-    area2 = 0.0
-    for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
-        if math.hypot(b.x - a.x, b.y - a.y) <= EPS:
-            raise DuplicateVertexError(
-                f"vertices {i} and {(i + 1) % n} coincide at {a}")
-        area2 += a.x * b.y - b.x * a.y
-    if area2 < 0.0:
-        verts.reverse()
+    # Views of [V[n-1], V[0], ..., V[n-1], V[0]]: a = V[i-1], b = V[i],
+    # c = V[i+1] around vertex i are [:-2], [1:-1], [2:]; e is edge b -> c.
+    w = np.concatenate((xy[-1:], xy, xy[:1]))
+    e = w[2:] - w[1:-1]
+    # hypot(ex, ey) >= max(|ex|, |ey|), so only these edges can coincide
+    near = abs(e) <= EPS
+    for i in (near[:, 0] & near[:, 1]).nonzero()[0].tolist():
+        if math.hypot(*e[i].tolist()) <= EPS:
+            raise DuplicateVertexError(f"vertices {i} and {(i + 1) % n} "
+                                       f"coincide at {Point(*xy[i].tolist())}")
+    # Signed area decides the winding; flip CW rings to CCW. cumsum adds
+    # left to right, as a loop would, where sum() adds pairwise.
+    x, y = w.T
+    if np.cumsum(x[1:-1] * y[2:] - x[2:] * y[1:-1])[-1] < 0.0:
+        xy, w = xy[::-1], w[::-1]
+        x, y, e = *w.T, w[2:] - w[1:-1]
 
     # All turns are strictly left; the ring is simple iff it winds exactly
     # once (a star polygon turns left everywhere but winds more than once).
-    turning = 0.0
-    a, b = verts[-1], verts[0]
-    for i, c in enumerate(verts[1:] + verts[:1]):
-        d = _cross(a.x, a.y, b.x, b.y, c.x, c.y)
-        if d <= EPS:
-            kind = "collinear" if abs(d) <= EPS else "clockwise"
-            raise NotConvexError(
-                f"consecutive triple around vertex {i} is {kind}; "
-                "strict convexity requires a counter-clockwise turn")
-        ux, uy = b.x - a.x, b.y - a.y
-        wx, wy = c.x - b.x, c.y - b.y
-        turning += math.atan2(ux * wy - uy * wx, ux * wx + uy * wy)
-        a, b = b, c
+    (ux, uy), (wx, wy) = (w[1:-1] - w[:-2]).T, e.T
+    d = ux * (y[2:] - y[:-2]) - uy * (x[2:] - x[:-2])  # (b - a) x (c - a)
+    if d.min() <= EPS:
+        i = int((d <= EPS).argmax())
+        kind = "collinear" if abs(d[i]) <= EPS else "clockwise"
+        raise NotConvexError(
+            f"consecutive triple around vertex {i} is {kind}; "
+            "strict convexity requires a counter-clockwise turn")
+    # np.arctan2 may differ from math.atan2 by an ulp, far inside the 1e-6
+    turning = float(np.arctan2(ux * wy - uy * wx, ux * wx + uy * wy).sum())
     if abs(turning - 2.0 * math.pi) > 1e-6:
         raise NotSimpleError(
             f"ring winds {turning / (2.0 * math.pi):.3f} times; "
             "a simple convex polygon winds exactly once")
-
-    return ConvexPolygon(tuple(verts))
+    return xy
 
 
 def adjacent_quad(poly: ConvexPolygon, i: int) -> Quad:
@@ -278,7 +289,9 @@ def random_convex(n: int, seed: int, radius: float = 1.0) -> ConvexPolygon:
     consecutive triples keep a healthy margin above the collinearity
     tolerance even for thousands of vertices; the jitter amplitude is capped
     both at 5% and at what the local gaps can absorb without creating a
-    reflex vertex. The result is re-validated and resampled on failure;
+    reflex vertex. ``_ccw_ring`` checks each candidate array, and ``Point``s
+    are built once, on success, so a rejected attempt is a few dozen numpy
+    calls, and giving up after every attempt at n = 2000 takes about 10 ms.
     ``GenerationError`` is raised when every attempt fails.
     """
     if n < 3:
@@ -297,13 +310,12 @@ def random_convex(n: int, seed: int, radius: float = 1.0) -> ConvexPolygon:
         jitter_amp = min(0.05, min_gap * min_gap / 8.0)
         radii = radius * (1.0 + jitter_amp * (2.0 * rng.random(n) - 1.0))
 
-        xs = radii * np.cos(angles)
-        ys = radii * np.sin(angles)
+        xy = np.stack((radii * np.cos(angles), radii * np.sin(angles)), 1)
         try:
-            return validate_convex(
-                [Point(float(x), float(y)) for x, y in zip(xs, ys)])
+            xy = _ccw_ring(xy)
         except PolygonError:
             continue
+        return ConvexPolygon(tuple(map(Point, *xy.T.tolist())))
     raise GenerationError(
         f"could not generate a valid convex polygon for n={n}, "
         f"radius={radius} after {_MAX_GENERATOR_ATTEMPTS} attempts")

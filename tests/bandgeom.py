@@ -1,8 +1,11 @@
 """Test-only geometry: the two-line band construction the admission rule
 was derived from (directed lines, their intersection, side-of-line and band
 containment, orientation, closed segments and their intersection), the
-perpendicular foot it drops, and ``legality_test``, the scalar admission
-test of one edge that the vectorised tests are checked against.
+perpendicular foot it drops, ``legality_test``, the scalar admission test
+of one edge that the vectorised tests are checked against, and
+``scalar_validate_convex`` / ``scalar_random_convex``, the per-vertex loops
+that the array ring checks of ``validate_convex`` and ``random_convex``
+replaced, kept as their reference.
 
 The package classifies with the chord-side test and the ring scan in
 ``convexpoint.geom``; nothing in it calls these. They run in plain double
@@ -14,18 +17,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from convexpoint.geom import (
     EPS,
+    _COORD_MAX,
     GeometryError,
     Point,
-    _cross,
     _dist_point_segment,
     _on_segment_coords,
     _require_finite,
 )
-from convexpoint.polygon import ConvexPolygon
+from convexpoint.polygon import (
+    _MAX_GENERATOR_ATTEMPTS,
+    ConvexPolygon,
+    DuplicateVertexError,
+    GenerationError,
+    NotConvexError,
+    NotSimpleError,
+    PolygonError,
+    TooFewVerticesError,
+)
 
 
 class DegenerateEdgeError(GeometryError):
@@ -89,6 +104,11 @@ class DirLine:
         _require_finite(self.dx, self.dy)
         if self.dx == 0.0 and self.dy == 0.0:
             raise GeometryError("direction vector must be nonzero")
+
+
+def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
+    # z-component of (a - o) x (b - o)
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def orientation(a: Point, b: Point, c: Point, eps: float = EPS) -> Orientation:
@@ -227,3 +247,89 @@ def legality_test(poly: ConvexPolygon, i: int, p: Point) -> bool:
         raise GeometryError(f"too far out to count admissions: {p!r}")
     cx, cy, ux, uy = poly.chords[i]
     return ux * (p.y - cy) - uy * (p.x - cx) < -EPS
+
+
+def scalar_validate_convex(raw) -> ConvexPolygon:
+    """``validate_convex`` as per-vertex Python loops: the same parse,
+    rules, order of checks and messages, one vertex or edge at a time."""
+    try:
+        entries = list(raw)
+    except TypeError:
+        raise PolygonError(
+            f"vertices must be a list of [x, y] pairs, got {raw!r}") from None
+    verts = []
+    for k, v in enumerate(entries):
+        try:
+            x, y = v
+            verts.append(Point(float(x), float(y)))
+        except (TypeError, ValueError):
+            raise PolygonError(
+                f"vertex {k} must be two numbers [x, y], got {v!r}") from None
+    coords = list(chain.from_iterable(verts))
+    if not math.isfinite(sum(coords)):
+        for x, y in verts:
+            _require_finite(x, y)
+    n = len(verts)
+    if n < 3:
+        raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
+    if max(map(abs, coords)) > _COORD_MAX:
+        raise PolygonError(f"a coordinate's magnitude exceeds {_COORD_MAX:g},"
+                           " past which a product of coordinates overflows")
+
+    area2 = 0.0
+    for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        if math.hypot(b.x - a.x, b.y - a.y) <= EPS:
+            raise DuplicateVertexError(
+                f"vertices {i} and {(i + 1) % n} coincide at {a}")
+        area2 += a.x * b.y - b.x * a.y
+    if area2 < 0.0:
+        verts.reverse()
+
+    turning = 0.0
+    a, b = verts[-1], verts[0]
+    for i, c in enumerate(verts[1:] + verts[:1]):
+        d = _cross(a.x, a.y, b.x, b.y, c.x, c.y)
+        if d <= EPS:
+            kind = "collinear" if abs(d) <= EPS else "clockwise"
+            raise NotConvexError(
+                f"consecutive triple around vertex {i} is {kind}; "
+                "strict convexity requires a counter-clockwise turn")
+        ux, uy = b.x - a.x, b.y - a.y
+        wx, wy = c.x - b.x, c.y - b.y
+        turning += math.atan2(ux * wy - uy * wx, ux * wx + uy * wy)
+        a, b = b, c
+    if abs(turning - 2.0 * math.pi) > 1e-6:
+        raise NotSimpleError(
+            f"ring winds {turning / (2.0 * math.pi):.3f} times; "
+            "a simple convex polygon winds exactly once")
+
+    return ConvexPolygon(tuple(verts))
+
+
+def scalar_random_convex(n: int, seed: int, radius: float = 1.0
+                         ) -> ConvexPolygon:
+    """``random_convex`` with the same draws per attempt, each candidate
+    checked by ``scalar_validate_convex``."""
+    if n < 3:
+        raise PolygonError(f"need n >= 3, got {n}")
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise PolygonError(f"radius must be positive and finite, got {radius}")
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_GENERATOR_ATTEMPTS):
+        gaps = 0.7 + 0.6 * rng.random(n)
+        gaps *= (2.0 * math.pi) / float(gaps.sum())
+        phase = 2.0 * math.pi * rng.random()
+        angles = phase + np.cumsum(gaps)
+        min_gap = float(gaps.min())
+        jitter_amp = min(0.05, min_gap * min_gap / 8.0)
+        radii = radius * (1.0 + jitter_amp * (2.0 * rng.random(n) - 1.0))
+        xs = radii * np.cos(angles)
+        ys = radii * np.sin(angles)
+        try:
+            return scalar_validate_convex(
+                [Point(float(x), float(y)) for x, y in zip(xs, ys)])
+        except PolygonError:
+            continue
+    raise GenerationError(
+        f"could not generate a valid convex polygon for n={n}, "
+        f"radius={radius} after {_MAX_GENERATOR_ATTEMPTS} attempts")

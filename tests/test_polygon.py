@@ -200,6 +200,26 @@ class TestRandomConvex:
         assert isinstance(info.value, PolygonError)
         assert isinstance(info.value, RuntimeError)
 
+    @pytest.mark.parametrize("radius, built", [(1e-2, 0), (1e6, 2000)])
+    def test_points_built_once_on_success(self, monkeypatch, radius, built):
+        # every attempt at radius 1e-2 fails its turn check; candidates are
+        # checked as arrays, so a give-up builds no Point and a polygon
+        # builds one per vertex, once
+        count = 0
+
+        def counting_point(*args):
+            nonlocal count
+            count += 1
+            return Point(*args)
+
+        monkeypatch.setattr(polygon, "Point", counting_point)
+        if built:
+            assert random_convex(2000, 1, radius=radius).n == 2000
+        else:
+            with pytest.raises(GenerationError):
+                random_convex(2000, 1, radius=radius)
+        assert count == built
+
     def test_overflowing_radius_gives_up(self):
         # at radius 1e160 the cross products overflow; such a ring used to
         # validate, and the classifiers then disagreed on it
