@@ -222,12 +222,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     that rank the rest of the order (see ``_rest_keys``), and the first
     admitting edge in it is the admitting edge with the least (key, index),
     found without building the order. A point strictly inside
-    ``poly.kernel_disk``, which no edge admits up to rounding, runs the
-    vectorised step first; when no edge admits it, the answer is INSIDE
-    without drawing any order, and otherwise the query goes on as above with
-    that step's result. The disk only orders the work: every INSIDE from
-    exhaustion comes from testing all N edges. The counters are those of
-    trying the edges one at a time.
+    ``poly.kernel_disk`` is answered at once: INSIDE with
+    ``TrialStats(n, n, None, True)``, the verdict and counters of trying
+    all N edges. The disk decides only because its radius carries a forward
+    error bound, which proves the float chord test false for every chord at
+    every float point inside it; a point outside the disk, however close,
+    goes through the trials. The counters are those of trying the edges one
+    at a time.
     """
     px, py = p
     if policy is None:
@@ -238,14 +239,10 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         return Classification.OUTSIDE, TrialStats(0, 0, None, False)
     verts = poly.vertices
     n = len(verts)
-    mask = None
     ox, oy, r2 = poly.kernel_disk
     dx, dy = px - ox, py - oy
     if dx * dx + dy * dy < r2:
-        mask = _admission_mask(poly, px, py)
-        # count_nonzero costs about a third of ndarray.any here
-        if not np.count_nonzero(mask):
-            return Classification.INSIDE, TrialStats(n, n, None, True)
+        return Classification.INSIDE, TrialStats(n, n, None, True)
     chords = poly.chords
     neg = -EPS
     lazy = min(n, _LAZY_DRAWS)
@@ -266,9 +263,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
         # in the rest; a point that none admits (sigma = 0) draws no keys.
-        if mask is None:
-            mask = _admission_mask(poly, px, py)
-        admitting = mask.nonzero()[0]
+        admitting = _admission_mask(poly, px, py).nonzero()[0]
         if admitting.size:
             # The first admitting edge in the rest has the least (key,
             # index); argmin breaks ties toward the lower index. Its rank

@@ -40,6 +40,12 @@ from .geom import (
 # 400 box points each, two runs).
 _VECTOR_MIN = 40
 
+# The kernel disk's error allowance, 8 units of roundoff (8 * 2**-53), and
+# the relative slack taken off its radius and squared radius; see
+# ``ConvexPolygon.kernel_disk``.
+_GAMMA = 2.0 ** -50
+_DISK_SHRINK = 1.0 - 2.0 ** -48
+
 
 class PolygonError(ValueError):
     """Base class for polygon validation failures."""
@@ -143,20 +149,49 @@ class ConvexPolygon:
 
     @cached_property
     def kernel_disk(self) -> tuple[float, float, float]:
-        """``(ox, oy, r2)``: the vertex centroid and the squared smallest
-        distance from it to the chord lines, measured toward their inner
-        side, built on first use. A point strictly inside this disk lies on
-        the inner side of every chord, so up to rounding no edge admits it.
-        ``r2`` is -1, an empty disk, when the centroid is not strictly on
-        the inner side of every chord; that always holds for a triangle,
-        whose every edge admits its centroid, for a square, whose chords
-        are its edges reversed, and for a pentagon.
+        """``(ox, oy, r2)``: the vertex centroid o and a squared radius,
+        built on first use, such that no edge admits any float point p
+        with ``dx * dx + dy * dy < r2`` (dx = px - ox, dy = py - oy, both
+        rounded): for every chord the float test of ``chords`` is false.
+        The radius is certified by a forward error bound, so the disk
+        decides, not only up to rounding.
+
+        The bound, by forward error analysis (u = 2**-53; Higham,
+        "Accuracy and Stability of Numerical Algorithms", ch. 3; the
+        static filter of Shewchuk, "Adaptive Precision Floating-Point
+        Arithmetic and Fast Robust Geometric Predicates", 1997). Two
+        rounded differences, two products and one subtraction put the
+        float test value at p within c * M(p) of its exact value
+        T(p) = ux * (py - cy) - uy * (px - cx), with c = 3u(1 + u)**2 and
+        M(p) = |ux| |py - cy| + |uy| |px - cx|; underflow adds under
+        2**-1070, far below ``EPS``. So the test is false wherever
+        T(p) > c * M(p). With D and A the values of T and M at o, and
+        |p - o| <= rho, T(p) >= D(o) - hypot(ux, uy) rho and M(p) <= A(o)
+        + rho (|ux| + |uy|), so that holds for every rho below
+        (D(o) - c A(o)) / (hypot(ux, uy) + c (|ux| + |uy|)). Each chord's
+        radius is taken with gamma = 8u in place of c:
+        rho_i = (D(o) - 2 gamma A(o)) / (hypot(ux, uy) + gamma (|ux| +
+        |uy|)). The extra 13u on A(o) and 5u on |ux| + |uy| >= hypot(ux,
+        uy), with the factor (1 - 2**-48) on r = min rho_i and again on
+        r2 = r**2, cover the rounding of this computation, numpy's hypot
+        and the query's own dx * dx + dy * dy.
+
+        ``r2`` is -1, an empty disk, when r <= 0: the centroid is not on
+        the inner side of every chord by more than the bound. That always
+        holds for a triangle, whose every edge admits its centroid, for a
+        square, whose chords are its edges reversed, for a pentagon, and
+        for a hexagon, whose chords i and i + 3 are one line, reversed.
         """
         o = self.centroid()
         cx, cy, ux, uy = self.chord_columns
-        r = float(((ux * (o.y - cy) - uy * (o.x - cx))
-                   / np.hypot(ux, uy)).min())
-        return o.x, o.y, r * r if r > 0.0 else -1.0
+        ex, ey = o.x - cx, o.y - cy
+        au, av = abs(ux), abs(uy)
+        d = ux * ey - uy * ex
+        a = au * abs(ey) + av * abs(ex)
+        rho = ((d - 2.0 * _GAMMA * a)
+               / (np.hypot(ux, uy) + _GAMMA * (au + av)))
+        r = float(rho.min()) * _DISK_SHRINK
+        return o.x, o.y, r * r * _DISK_SHRINK if r > 0.0 else -1.0
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
@@ -190,8 +225,10 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
     Clockwise input is reversed to counter-clockwise. Raises
     TooFewVerticesError, DuplicateVertexError, NotConvexError or
     NotSimpleError when the ring cannot be normalized, and PolygonError
-    when an entry is not two numbers or exceeds ``_COORD_MAX`` in magnitude,
-    which keeps every product formed for points in the bounding box finite.
+    when an entry is not two numbers that convert to floats (an integer
+    beyond the float range does not) or exceeds ``_COORD_MAX`` in
+    magnitude, which keeps every product formed for points in the bounding
+    box finite.
     Entries are parsed one by one; the ring rules then run as array
     expressions over one float64 array, in ``_ccw_ring``.
     """
@@ -205,7 +242,7 @@ def validate_convex(raw: Sequence[Point] | Iterable[Sequence[float]]
         try:
             x, y = v
             verts.append(Point(float(x), float(y)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PolygonError(
                 f"vertex {k} must be two numbers [x, y], got {v!r}") from None
     xy = np.fromiter(chain.from_iterable(verts), np.float64).reshape(-1, 2)
@@ -237,10 +274,13 @@ def _ccw_ring(xy: np.ndarray) -> np.ndarray:
         if math.hypot(*e[i].tolist()) <= EPS:
             raise DuplicateVertexError(f"vertices {i} and {(i + 1) % n} "
                                        f"coincide at {Point(*xy[i].tolist())}")
-    # Signed area decides the winding; flip CW rings to CCW. cumsum adds
-    # left to right, as a loop would, where sum() adds pairwise.
+    # Signed area decides the winding; flip CW rings to CCW. The shoelace
+    # sum is taken about V[0]: about the origin it cancels for a small ring
+    # far out, and a CCW ring can sum below 0. cumsum adds left to right,
+    # as a loop would, where sum() adds pairwise.
     x, y = w.T
-    if np.cumsum(x[1:-1] * y[2:] - x[2:] * y[1:-1])[-1] < 0.0:
+    sx, sy = x - x[1], y - y[1]
+    if np.cumsum(sx[1:-1] * sy[2:] - sx[2:] * sy[1:-1])[-1] < 0.0:
         xy, w = xy[::-1], w[::-1]
         x, y, e = *w.T, w[2:] - w[1:-1]
 

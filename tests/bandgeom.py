@@ -262,7 +262,7 @@ def scalar_validate_convex(raw) -> ConvexPolygon:
         try:
             x, y = v
             verts.append(Point(float(x), float(y)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise PolygonError(
                 f"vertex {k} must be two numbers [x, y], got {v!r}") from None
     coords = list(chain.from_iterable(verts))
@@ -277,11 +277,12 @@ def scalar_validate_convex(raw) -> ConvexPolygon:
                            " past which a product of coordinates overflows")
 
     area2 = 0.0
+    x0, y0 = verts[0]
     for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
         if math.hypot(b.x - a.x, b.y - a.y) <= EPS:
             raise DuplicateVertexError(
                 f"vertices {i} and {(i + 1) % n} coincide at {a}")
-        area2 += a.x * b.y - b.x * a.y
+        area2 += (a.x - x0) * (b.y - y0) - (b.x - x0) * (a.y - y0)
     if area2 < 0.0:
         verts.reverse()
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexpoint.classify as classify_module
 import convexpoint.polygon as polygon_module
@@ -475,12 +477,14 @@ class TestClassifyImproved:
 
     def test_deep_sigma_zero_draws_no_order(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("edge order built for a point in the disk")
+            raise AssertionError("work done for a point in the disk")
 
         # a seeded query mixes its seed before its first trial, and any
-        # query that ranks the rest of the order draws keys
+        # query that ranks the rest of the order draws keys; the disk
+        # answers without testing a single chord
         monkeypatch.setattr(classify_module, "_mix64", fail)
         monkeypatch.setattr(classify_module, "_rest_keys", fail)
+        monkeypatch.setattr(classify_module, "_admission_mask", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             ox, oy, r2 = poly.kernel_disk
@@ -592,10 +596,10 @@ class TestKernelDisk:
         assert hash(a) == h == hash(b) == hash((verts,))
         assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
 
-    def test_disk_orders_the_work_but_never_decides(self):
-        # against the same polygon with an empty disk and with one that
-        # holds the whole plane: points just inside and just outside the
-        # circle, points 2 eps off edges and the vertices
+    def test_disk_answers_as_the_trials_do(self):
+        # against the same polygon with an empty disk: points just inside
+        # and just outside the circle, points 2 eps off edges and the
+        # vertices
         rng = np.random.default_rng(91)
         for n in (7, 12, _LAZY_DRAWS + 1, 100, 1000):
             for radius in (1e-2, 1.0, 1e6):
@@ -616,13 +620,52 @@ class TestKernelDisk:
                             (a.x + b.x) / 2 + off * (b.y - a.y) / length,
                             (a.y + b.y) / 2 - off * (b.x - a.x) / length))
                 empty = _with_disk(poly, -1.0)
-                plane = _with_disk(poly, math.inf)
                 for policy in (SeededShuffle(5),
                                SeededShuffle(first_edge_seed(n // 3, n))):
                     for p in points:
                         got = classify_improved(poly, p, policy)
                         assert got == classify_improved(empty, p, policy)
-                        assert got == classify_improved(plane, p, policy)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(7, 2000), st.sampled_from(range(-20, 28)),
+           st.sampled_from([0.0, 1e6, 1e8]), st.integers(0, 2**32))
+    def test_rim_points_the_disk_answers_admit_no_edge(self, n, k, offset,
+                                                       seed):
+        # The disk decides, so it must be sound up to its last ulp: points
+        # (1 - j 2**-52) r out from the centre, on random directions and on
+        # the ray toward the nearest chord line, at R = 2**k and far from
+        # the origin. The radius is raised where the offset's ulp would
+        # bend the ring out of convexity.
+        floor = 64 * offset * 2.0**-52 * (n / (2 * math.pi)) ** 2
+        radius = 2.0 ** max(k, math.ceil(math.log2(floor)) if floor else k)
+        poly = ConvexPolygon(tuple(
+            Point(radius * v.x + offset, radius * v.y - offset)
+            for v in random_convex(n, seed % 10_000).vertices))
+        ox, oy, r2 = poly.kernel_disk
+        if r2 <= 0:
+            return
+        r = math.sqrt(r2)
+        # toward the nearest chord line
+        cx, cy, ux, uy = poly.chord_columns
+        length = np.hypot(ux, uy)
+        i = int(((ux * (oy - cy) - uy * (ox - cx)) / length).argmin())
+        rays = [(float(uy[i] / length[i]), float(-ux[i] / length[i]))]
+        rays += [(math.cos(t), math.sin(t)) for t in
+                 np.random.default_rng(seed).uniform(0, 2 * math.pi, 8)]
+        empty = _with_disk(poly, -1.0)
+        policy = SeededShuffle(seed)
+        answered = 0
+        for ex, ey in rays:
+            for j in (0, 1, 2, 4, 7, 8, 9, 12, 16, 64, 2**20):
+                f = (1 - j * 2.0**-52) * r
+                p = Point(ox + f * ex, oy + f * ey)
+                dx, dy = p.x - ox, p.y - oy
+                if dx * dx + dy * dy < r2:
+                    answered += 1
+                    assert sigma(poly, p) == 0
+                    got = classify_improved(poly, p, policy)
+                    assert got == classify_improved(empty, p, policy)
+        assert answered
 
 
 class TestClassifyRaycast:

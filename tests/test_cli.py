@@ -124,6 +124,14 @@ class TestGenerateValidate:
         assert main(["validate", str(path)]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_validate_integer_beyond_a_float_exit2(self, tmp_path, capsys):
+        # float() raises OverflowError here, not TypeError or ValueError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"vertices": [[10**400, 0], [1, 0],
+                                                 [0, 1]]}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_validate_rejects_nonconvex(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

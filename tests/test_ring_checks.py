@@ -72,6 +72,10 @@ RINGS = {
     "{9/4} at 1e6": star(9, 4, 1e6),
     "huge triangle": [(0, 0), (1e152, 0), (0, 1e152)],
     "tiny triangle": [(0, 0), (1e-4, 0), (0, 1e-4)],
+    "integer beyond a float": [(10**400, 0), (1, 0), (0, 1)],
+    "small ccw square far out": [(1e6, 1e6), (1e6 + 1.4e-3, 1e6),
+                                 (1e6 + 1.4e-3, 1e6 + 1.4e-3),
+                                 (1e6, 1e6 + 1.4e-3)],
 }
 
 
@@ -166,6 +170,17 @@ class TestExactTransforms:
             with pytest.raises(cls) as info:
                 validate_convex(moved)
             assert type(info.value) is cls
+
+    @pytest.mark.parametrize("ring", [
+        RINGS["small ccw square far out"],
+        RINGS["small ccw square far out"][::-1]])
+    def test_small_square_far_out_builds_under_every_relabelling(self, ring):
+        # about the origin its shoelace sum cancels and can come out
+        # negative, which reversed the CCW ring and then rejected it
+        ccw = RINGS["small ccw square far out"]
+        for k in range(len(ring)):
+            got = validate_convex(ring[k:] + ring[:k]).vertices
+            assert is_cyclic_shift([tuple(v) for v in got], ccw), k
 
     @pytest.mark.parametrize("name", [name for name in RINGS if name not in (
         "not a list", "entry not two numbers", "empty", "two vertices")])
