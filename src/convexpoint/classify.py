@@ -57,9 +57,12 @@ class TrialStats(NamedTuple):
 
     ``edges_tried`` is the number of admission trials, ``intersection_tests``
     adds the fixed quad ray-cast work (4 ring edges, 3 for a triangle) on the
-    successful trial. ``legal_edge`` is the admitting edge index, absent when
-    every edge was rejected and ``exhausted_all`` is set, and for a point
-    beyond ``geom._FAR``, which no edge is tried for (every counter is 0).
+    successful trial. The quad's share is nominal: a point beyond
+    ``ConvexPolygon.outer_disk`` is answered without the scan and still
+    counts it, as a point in the kernel disk counts the N trials it skips.
+    ``legal_edge`` is the admitting edge index, absent when every edge was
+    rejected and ``exhausted_all`` is set, and for a point beyond
+    ``geom._FAR``, which no edge is tried for (every counter is 0).
     """
 
     edges_tried: int
@@ -227,8 +230,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     all N edges. The disk decides only because its radius carries a forward
     error bound, which proves the float chord test false for every chord at
     every float point inside it; a point outside the disk, however close,
-    goes through the trials. The counters are those of trying the edges one
-    at a time.
+    goes through the trials. A point beyond ``poly.outer_disk`` is answered
+    at its admitting edge, found by the trials or the rank step as above,
+    without the quad scan: OUTSIDE with ``TrialStats(t, t + 4, e, False)``
+    (``t + 3`` for a triangle), which its quad would have answered, as
+    that disk's certified radius proves. A query that exhausts never
+    reaches it. The counters, the quad's 4 (or 3) tests included, are
+    those of trying the edges one at a time and scanning the quad.
     """
     px, py = p
     if policy is None:
@@ -241,7 +249,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     n = len(verts)
     ox, oy, r2 = poly.kernel_disk
     dx, dy = px - ox, py - oy
-    if dx * dx + dy * dy < r2:
+    d2 = dx * dx + dy * dy
+    if d2 < r2:
         return Classification.INSIDE, TrialStats(n, n, None, True)
     chords = poly.chords
     neg = -EPS
@@ -259,6 +268,11 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         drawn.append(e)
         cx, cy, ux, uy = chords[e]
         if ux * (py - cy) - uy * (px - cx) < neg:
+            if d2 > poly.outer_disk:
+                # i + 1 trials and the quad's nominal 4 tests, 3 for a
+                # triangle
+                return Classification.OUTSIDE, TrialStats(
+                    i + 1, i + (5 if n > 3 else 4), e, False)
             return _admitted(verts, e, i + 1, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
@@ -274,7 +288,11 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             edge, key = int(admitting[k]), ka[k]
             rank = int(np.count_nonzero(keys[:edge] <= key)
                        + np.count_nonzero(keys[edge:] < key))
-            return _admitted(verts, edge, lazy + rank + 1, px, py)
+            tried = lazy + rank + 1
+            if d2 > poly.outer_disk:
+                return Classification.OUTSIDE, TrialStats(
+                    tried, tried + 4, edge, False)
+            return _admitted(verts, edge, tried, px, py)
     return Classification.INSIDE, TrialStats(n, n, None, True)
 
 

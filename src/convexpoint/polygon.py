@@ -45,6 +45,11 @@ _VECTOR_MIN = 40
 # ``ConvexPolygon.kernel_disk``.
 _GAMMA = 2.0 ** -50
 _DISK_SHRINK = 1.0 - 2.0 ** -48
+# The outer disk's relative margin on |ox| + |oy| + rho, 8192 units of
+# roundoff, and its relative growth of the squared radius; see
+# ``ConvexPolygon.outer_disk``.
+_OUTER_MARGIN = 2.0 ** -40
+_DISK_GROW = 1.0 + 2.0 ** -48
 
 
 class PolygonError(ValueError):
@@ -192,6 +197,51 @@ class ConvexPolygon:
                / (np.hypot(ux, uy) + _GAMMA * (au + av)))
         r = float(rho.min()) * _DISK_SHRINK
         return o.x, o.y, r * r * _DISK_SHRINK if r > 0.0 else -1.0
+
+    @cached_property
+    def outer_disk(self) -> float:
+        """A squared radius R2 about ``kernel_disk``'s centre o, built on
+        first use, such that every float point p with ``dx * dx + dy * dy
+        > R2`` (dx = px - ox, dy = py - oy, both rounded) is OUTSIDE for
+        the quad scan of every edge: ``geom._ring_scan`` over the ring
+        (a, b, d, c), or the triangle (a, b, c), finds no ring edge within
+        EPS and an even crossing count. Like ``kernel_disk``'s, the radius
+        carries a forward error bound (u = 2**-53), so the disk decides.
+
+        With rho the largest computed vertex distance from o, the exact
+        one is at most rho (1 + 4u) (two rounded differences, ``hypot``
+        under 1 ulp). The radius r = rho + 2 EPS + 2**-40 S, with
+        S = |ox| + |oy| + rho, takes at most three roundings on any term,
+        so it comes out at least (1 - 3u) times its exact value, and R2 =
+        r**2 (1 + 2**-48) takes two more. The query's sum of squares is at
+        most (1 + u)**4 |p - o|**2 (+inf only for a p far beyond the disk),
+        so it exceeds R2 only when |p - o| > r. Every point X of a ring
+        edge lies within rho (1 + 4u) of o, as the disk is convex, so
+        |p - X| > m = 2 EPS (1 - 3u) + S (2**-40 - 11u).
+
+        No ring edge is within EPS: ``_dist_point_segment`` measures p's
+        distance to a rounded point (ax + t ux, ay + t uy), t a float in
+        [0, 1], or to a, which is within 11u S of an exact point X of the
+        edge; the differences and ``hypot`` then lose under 3u relative,
+        so the distance it returns exceeds (m - 11u S)(1 - 3u) > EPS.
+
+        The crossing count is even: whether an edge straddles the ray's
+        height is an exact comparison, and around a closed ring the
+        straddling edges are even in number. A straddling edge crosses
+        height py at X = a + t (b - a), with t = (py - ay) / (by - ay)
+        exactly in [0, 1], so |px - Xx| = |p - X| > m, while the abscissa
+        the scan computes is within 12u S of Xx. So each straddling edge
+        counts as its exact crossing lies right of p or not. Every crossing
+        lies in the disk of radius rho (1 + 4u) about o, whose chord at
+        height py is one interval, and p at that height lies outside the
+        disk and so beyond one end of the interval: all the crossings or
+        none count.
+        Underflow adds under 2**-1070 to each error, far below EPS.
+        """
+        ox, oy, _ = self.kernel_disk
+        rho = max(math.hypot(x - ox, y - oy) for x, y in self.vertices)
+        r = rho + 2.0 * EPS + _OUTER_MARGIN * (abs(ox) + abs(oy) + rho)
+        return r * r * _DISK_GROW
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)

@@ -30,6 +30,7 @@ from convexpoint.geom import (
 from convexpoint.polygon import (
     Classification,
     ConvexPolygon,
+    PolygonError,
     _boundary_scan,
     adjacent_quad,
     bounding_box,
@@ -497,6 +498,34 @@ class TestClassifyImproved:
                 assert verdict is Classification.INSIDE
                 assert stats == TrialStats(n, n, None, True)
 
+    def test_far_exterior_point_scans_no_quad(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("quad scanned for a point beyond the disk")
+
+        # beyond the outer disk the admitting edge answers OUTSIDE without
+        # its quad scan, at a scalar trial and after the rank step alike;
+        # 1.001 r out toward V0 of a regular 2000-gon about 28 edges admit,
+        # so most seeds get past the lazy draws
+        monkeypatch.setattr(classify_module, "_admitted", fail)
+        past_prefix = 0
+        for n in (3, 4, 12, _LAZY_DRAWS + 1, 100, 2000):
+            poly = regular_ngon(n)
+            ox, oy, _ = poly.kernel_disk
+            r = math.sqrt(poly.outer_disk)
+            far = [Point(ox + f * r * math.cos(t), oy + f * r * math.sin(t))
+                   for f in (1.001, 3.0) for t in (0.0, 0.3, 2.0, 4.4)]
+            for p in far:
+                for seed in range(8):
+                    verdict, st = classify_improved(poly, p,
+                                                    SeededShuffle(seed))
+                    assert verdict is Classification.OUTSIDE
+                    assert st == TrialStats(st.edges_tried,
+                                            st.edges_tried + min(n, 4),
+                                            st.legal_edge, False)
+                    assert legality_test(poly, st.legal_edge, p)
+                    past_prefix += st.edges_tried > _LAZY_DRAWS
+        assert past_prefix > 0
+
     def test_unknown_policy_rejected_for_every_point(self):
         for poly in (TRIANGLE, SQUARE, regular_ngon(12), regular_ngon(100)):
             ox, oy, _ = poly.kernel_disk
@@ -666,6 +695,107 @@ class TestKernelDisk:
                     got = classify_improved(poly, p, policy)
                     assert got == classify_improved(empty, p, policy)
         assert answered
+
+
+def _without_outer_disk(poly):
+    # the same polygon with an outer disk no point lies beyond
+    copy = ConvexPolygon(poly.vertices)
+    copy.__dict__["outer_disk"] = math.inf
+    return copy
+
+
+def _shifted_convex(n, seed, radius, shift):
+    return ConvexPolygon(tuple(Point(v.x + shift, v.y - shift)
+                               for v in _scaled_convex(n, seed,
+                                                       radius).vertices))
+
+
+OUTER_SIZES = (3, 4, 5, 12, 100, 1000)
+OUTER_RADII = (1e-2, 1.0, 1e2, 1e6)
+OUTER_SHIFTS = (0.0, 1e6, 3e7)
+
+
+class TestOuterDisk:
+    @pytest.mark.parametrize("n", OUTER_SIZES)
+    def test_answers_as_the_quad_scan_does(self, n):
+        # The disk decides, so points just past its rim must get the
+        # verdict and counters of the quad scan, on 64 directions at
+        # (1 + k 2**-52) r and at 1.001, 2 and 10 r, and toward the four
+        # vertices farthest from the centre, where the rim comes closest to
+        # the ring. On rings the validator accepts, every such point is
+        # outside and admitted by some edge. At n = 1000 and R = 1e-2 it
+        # rejects the ring as collinear, and some rim points there admit by
+        # no edge: the chord test compares a cross product with an absolute
+        # EPS, so they exhaust as INSIDE, with or without the disk.
+        factors = [1 + k * 2.0**-52 for k in (0, 1, 2, 4, 16)]
+        factors += [1.001, 2.0, 10.0]
+        answered = 0
+        for radius in OUTER_RADII:
+            for shift in OUTER_SHIFTS:
+                poly = _shifted_convex(n, n + 40, radius, shift)
+                plain = _without_outer_disk(poly)
+                try:
+                    validate_convex(poly.vertices)
+                    valid = True
+                except PolygonError:
+                    valid = False
+                ox, oy, _ = poly.kernel_disk
+                r2 = poly.outer_disk
+                r = math.sqrt(r2)
+                rays = [(math.cos(t), math.sin(t))
+                        for t in np.linspace(0, 2 * math.pi, 64, False)]
+                far = sorted(poly.vertices,
+                             key=lambda v: math.hypot(v.x - ox, v.y - oy))
+                for v in far[-4:]:
+                    dist = math.hypot(v.x - ox, v.y - oy)
+                    rays.append(((v.x - ox) / dist, (v.y - oy) / dist))
+                for j, (ex, ey) in enumerate(rays):
+                    policy = SeededShuffle(j)
+                    for f in factors:
+                        p = Point(ox + f * r * ex, oy + f * r * ey)
+                        got = classify_improved(poly, p, policy)
+                        assert got == classify_improved(plain, p, policy)
+                        if valid:
+                            assert got[0] is Classification.OUTSIDE
+                            assert not got[1].exhausted_all
+                        dx, dy = p.x - ox, p.y - oy
+                        answered += dx * dx + dy * dy > r2
+        # the rim factors land either side of it; 1.001, 2 and 10 r never
+        assert answered >= 3 * 64 * len(OUTER_RADII) * len(OUTER_SHIFTS)
+
+    def test_band_points_lie_strictly_inside(self):
+        # every vertex, and every point 2 eps off a vertex (radially) or
+        # off an edge midpoint (along the normal), is in the disk, so no
+        # query in the EPS band skips its quad scan
+        for n in OUTER_SIZES + (2000,):
+            for radius in OUTER_RADII:
+                for shift in OUTER_SHIFTS:
+                    poly = _shifted_convex(n, n + 50, radius, shift)
+                    ox, oy, _ = poly.kernel_disk
+                    r2 = poly.outer_disk
+                    v = poly.vertices
+                    points = list(v)
+                    for a, b in zip(v, v[1:] + v[:1]):
+                        dist = math.hypot(a.x - ox, a.y - oy)
+                        for off in (2 * EPS, -2 * EPS):
+                            points.append(off_midpoint(a, b, off))
+                            points.append(Point(
+                                a.x + off * (a.x - ox) / dist,
+                                a.y + off * (a.y - oy) / dist))
+                    for p in points:
+                        dx, dy = p.x - ox, p.y - oy
+                        assert dx * dx + dy * dy < r2, (n, radius, shift, p)
+
+    def test_built_on_first_use_by_a_query(self):
+        poly = random_convex(12, seed=57, radius=5)
+        assert "outer_disk" not in poly.__dict__
+        assert "outer_disk" not in validate_convex(poly.vertices).__dict__
+        ox, oy, _ = poly.kernel_disk
+        classify_improved(poly, Point(ox, oy))
+        assert "outer_disk" not in poly.__dict__
+        verdict, _ = classify_improved(poly, Point(ox + 20.0, oy))
+        assert verdict is Classification.OUTSIDE
+        assert 0.0 < poly.__dict__["outer_disk"] < 400.0
 
 
 class TestClassifyRaycast:
