@@ -27,7 +27,7 @@ point of the closed triangle, and every polygon runs the one rule.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,9 +47,20 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class SeededShuffle:
-    """Visit edges in a seed-determined random permutation."""
+    """Visit edges in a seed-determined random permutation.
+
+    The policy carries its seed mixed into generator state: ``state`` is
+    computed once, when the policy is built, and every query under the
+    policy starts its draws from it. So build a policy once and reuse it
+    across queries. Equality, hashing and repr see only ``seed``. A seed
+    that is not an integer raises TypeError here, not at the first query.
+    """
 
     seed: int
+    state: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "state", _mix64(self.seed & _MASK64))
 
 
 class TrialStats(NamedTuple):
@@ -89,6 +100,9 @@ _LCG_INC = 1442695040888963407
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
+# Builds a TrialStats from one tuple without NamedTuple's Python-level
+# __new__, at under half its cost; the result is the same tuple subclass.
+_new = tuple.__new__
 
 
 def _mix64(x: int) -> int:
@@ -98,6 +112,9 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+_DEFAULT_POLICY = SeededShuffle(DEFAULT_SEED)
 
 
 def _edge_keys(state: int, n: int) -> np.ndarray:
@@ -200,7 +217,7 @@ def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
     else:
         ring = (verts[i], verts[i + 1 - n], verts[i + 2 - n], verts[i - 1])
     r = _ring_scan(ring, px, py)
-    stats = TrialStats(tried, tried + len(ring), i, False)
+    stats = _new(TrialStats, (tried, tried + len(ring), i, False))
     if r >= 0:
         if r & 1:
             return Classification.INSIDE, stats
@@ -237,10 +254,16 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     that disk's certified radius proves. A query that exhausts never
     reaches it. The counters, the quad's 4 (or 3) tests included, are
     those of trying the edges one at a time and scanning the quad.
+
+    The query starts its draws from ``policy.state``, the seed the policy
+    mixed when it was built, and mixes no seed itself; so a caller that
+    classifies many points under one order builds the policy once and
+    passes it to every query. Without a policy it uses one module-level
+    ``SeededShuffle(DEFAULT_SEED)``.
     """
     px, py = p
     if policy is None:
-        policy = SeededShuffle(DEFAULT_SEED)
+        policy = _DEFAULT_POLICY
     if not isinstance(policy, SeededShuffle):
         raise TypeError(f"unknown edge order policy: {policy!r}")
     if not _require_finite(px, py):
@@ -251,13 +274,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     dx, dy = px - ox, py - oy
     d2 = dx * dx + dy * dy
     if d2 < r2:
-        return Classification.INSIDE, TrialStats(n, n, None, True)
+        return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
     chords = poly.chords
     neg = -EPS
     lazy = min(n, _LAZY_DRAWS)
     drawn: list[int] = []
     # ``edge_order``'s draws from the mixed seed, one per trial
-    base = state = _mix64(policy.seed & _MASK64)
+    base = state = policy.state
     moved: dict[int, int] = {}
     get = moved.get
     for i in range(lazy):
@@ -271,8 +294,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             if d2 > poly.outer_disk:
                 # i + 1 trials and the quad's nominal 4 tests, 3 for a
                 # triangle
-                return Classification.OUTSIDE, TrialStats(
-                    i + 1, i + (5 if n > 3 else 4), e, False)
+                return Classification.OUTSIDE, _new(
+                    TrialStats, (i + 1, i + (5 if n > 3 else 4), e, False))
             return _admitted(verts, e, i + 1, px, py)
     if n > _LAZY_DRAWS:
         # The prefix edges reject in the mask too, so any admitting edge is
@@ -290,10 +313,10 @@ def classify_improved(poly: ConvexPolygon, p: Point,
                        + np.count_nonzero(keys[edge:] < key))
             tried = lazy + rank + 1
             if d2 > poly.outer_disk:
-                return Classification.OUTSIDE, TrialStats(
-                    tried, tried + 4, edge, False)
+                return Classification.OUTSIDE, _new(
+                    TrialStats, (tried, tried + 4, edge, False))
             return _admitted(verts, edge, tried, px, py)
-    return Classification.INSIDE, TrialStats(n, n, None, True)
+    return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
 
 
 def classify_raycast(poly: ConvexPolygon, p: Point

@@ -1,7 +1,10 @@
 """Tests for the three classifiers: unit examples from hand-checked
 geometry, policy invariance, reduction soundness, and counter contracts."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,8 @@ import convexpoint.classify as classify_module
 import convexpoint.polygon as polygon_module
 from convexpoint.classify import (
     _LAZY_DRAWS,
+    _MASK64,
+    DEFAULT_SEED,
     SeededShuffle,
     TrialStats,
     classify_fan_triangulation,
@@ -129,6 +134,57 @@ class TestEdgeOrder:
     def test_seeded_prefix_stream_is_pinned(self, seed, n):
         order = edge_order(SeededShuffle(seed), n)
         assert order[:_LAZY_DRAWS] == self.PINNED_PREFIXES[seed, n]
+
+
+class TestSeededShuffle:
+    SEEDS = (0, 1, -1, -(2**63), 2**63 - 1, 2**64, 2**64 + 5, 2**100 + 3)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_is_the_mixed_seed(self, seed):
+        assert SeededShuffle(seed).state == classify_module._mix64(
+            seed & _MASK64)
+
+    def test_value_semantics_see_only_the_seed(self):
+        # 5 and 2**64 + 5 mix to the same state, yet differ as values
+        a, b, c = SeededShuffle(5), SeededShuffle(5), SeededShuffle(2**64 + 5)
+        assert a.state == c.state
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert repr(a) == "SeededShuffle(seed=5)"
+        object.__setattr__(b, "state", 0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(b) == "SeededShuffle(seed=5)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.state = 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replace_and_pickle_carry_the_right_state(self, seed):
+        policy = dataclasses.replace(SeededShuffle(7), seed=seed)
+        assert policy.state == SeededShuffle(seed).state
+        back = pickle.loads(pickle.dumps(SeededShuffle(seed)))
+        assert back == SeededShuffle(seed)
+        assert back.state == SeededShuffle(seed).state
+
+    @pytest.mark.parametrize("seed", [1.0, 2.5, "3", None, (1,)])
+    def test_non_integer_seed_rejected_at_construction(self, seed):
+        with pytest.raises(TypeError):
+            SeededShuffle(seed)
+
+    def test_default_policy_is_the_default_seed(self):
+        # past the lazy draws too: 2 EPS either side of an edge midpoint of
+        # a 2000-gon few edges admit
+        for n, seed in [(3, 40), (12, 41), (100, 42), (2000, 43)]:
+            poly = random_convex(n, seed, radius=10)
+            v = poly.vertices
+            rng = np.random.default_rng(seed)
+            points = lattice_probe_points(poly, rng, 20)
+            for k in rng.integers(0, n, 4).tolist():
+                points += [off_midpoint(v[k], v[(k + 1) % n], off)
+                           for off in (2 * EPS, -2 * EPS)]
+            policy = SeededShuffle(DEFAULT_SEED)
+            for p in points:
+                assert classify_improved(poly, p) == classify_improved(
+                    poly, p, policy)
 
 
 class TestLegality:
@@ -480,9 +536,10 @@ class TestClassifyImproved:
         def fail(*args):
             raise AssertionError("work done for a point in the disk")
 
-        # a seeded query mixes its seed before its first trial, and any
-        # query that ranks the rest of the order draws keys; the disk
-        # answers without testing a single chord
+        # the policy mixes its seed when it is built, and any query that
+        # ranks the rest of the order draws keys; the disk answers without
+        # mixing anything or testing a single chord
+        policy = SeededShuffle(3)
         monkeypatch.setattr(classify_module, "_mix64", fail)
         monkeypatch.setattr(classify_module, "_rest_keys", fail)
         monkeypatch.setattr(classify_module, "_admission_mask", fail)
@@ -494,9 +551,41 @@ class TestClassifyImproved:
                 Point(ox + 0.5 * r * math.cos(t), oy + 0.5 * r * math.sin(t))
                 for t in (0.3, 2.0, 4.4)]
             for p in deep:
-                verdict, stats = classify_improved(poly, p, SeededShuffle(3))
+                verdict, stats = classify_improved(poly, p, policy)
                 assert verdict is Classification.INSIDE
                 assert stats == TrialStats(n, n, None, True)
+
+    def test_no_query_mixes_its_seed(self, monkeypatch):
+        # a policy mixes its seed once, when it is built; queries start
+        # from policy.state. Far exterior queries of a 2000-gon admit at a
+        # trial or after the rank step, and a point 2 EPS inside an edge
+        # midpoint, admitted by 3 edges, mostly gets past the lazy draws.
+        # The rank step's key generator mixes the mixed state, never a seed.
+        mix = classify_module._mix64
+        policies = [SeededShuffle(s) for s in range(8)]
+        seeds = {policy.seed for policy in policies}
+
+        def guarded(x):
+            assert x not in seeds, "a query mixed its policy's seed"
+            return mix(x)
+
+        n = 2000
+        poly = regular_ngon(n)
+        ox, oy, _ = poly.kernel_disk
+        r = math.sqrt(poly.outer_disk)
+        v = poly.vertices
+        points = [Point(ox + f * r * math.cos(t), oy + f * r * math.sin(t))
+                  for f in (1.001, 3.0) for t in (0.0, 2.0)]
+        points += [off_midpoint(v[k], v[k + 1], -2 * EPS) for k in (0, 700)]
+        expected = [[classify_improved(poly, p, policy) for policy in policies]
+                    for p in points]
+        monkeypatch.setattr(classify_module, "_mix64", guarded)
+        past_prefix = 0
+        for p, want in zip(points, expected):
+            got = [classify_improved(poly, p, policy) for policy in policies]
+            assert got == want
+            past_prefix += sum(st.edges_tried > _LAZY_DRAWS for _, st in got)
+        assert past_prefix > 0
 
     def test_far_exterior_point_scans_no_quad(self, monkeypatch):
         def fail(*args):
@@ -562,6 +651,76 @@ class TestClassifyImproved:
                     if legality_test(poly, i, p):
                         got = classify_quad(adjacent_quad(poly, i), p, n)
                         assert got is truth
+
+
+def _digest_queries():
+    # (poly, p, policy) of a fixed seeded batch that reaches every return
+    # of classify_improved at n in {3, 4, 12, 17, 100, 1000}
+    for n, seed in [(3, 81), (4, 82), (12, 83), (17, 84), (100, 85),
+                    (1000, 86)]:
+        poly = random_convex(n, seed, radius=10)
+        rng = np.random.default_rng(seed)
+        v = poly.vertices
+        ox, oy, _ = poly.kernel_disk
+        r = math.sqrt(poly.outer_disk)
+        points = [Point(1e300, -1e300), Point(ox, oy)]
+        # uniform in the disk of radius 1.2 r, inside and outside
+        for t, f in zip(rng.uniform(0, 2 * math.pi, 12),
+                        rng.uniform(0, 1.2, 12)):
+            points.append(Point(ox + f * r * math.cos(t),
+                                oy + f * r * math.sin(t)))
+        # just outside the kernel disk, where few edges or none admit
+        rk = math.sqrt(max(poly.kernel_disk[2], 0.0))
+        for t in rng.uniform(0, 2 * math.pi, 4):
+            for f in (1.02, 1.1):
+                points.append(Point(ox + f * rk * math.cos(t),
+                                    oy + f * rk * math.sin(t)))
+        # beyond the outer disk, just past it and far
+        for t in rng.uniform(0, 2 * math.pi, 4):
+            for f in (1.001, 2.0):
+                points.append(Point(ox + f * r * math.cos(t),
+                                    oy + f * r * math.sin(t)))
+        # off edge midpoints, in the band and past it
+        for k in rng.integers(0, n, 4).tolist():
+            points += [off_midpoint(v[k], v[(k + 1) % n], off)
+                       for off in (2 * EPS, -2 * EPS, 1e-5, -1e-5)]
+        for p in points:
+            for policy in (None, SeededShuffle(0), SeededShuffle(5)):
+                yield poly, p, policy
+
+
+def _return_path(poly, p, st):
+    # which return of classify_improved gave the counters ``st``
+    if st.edges_tried == 0:
+        return "far gate"
+    ox, oy, r2 = poly.kernel_disk
+    d2 = (p.x - ox) ** 2 + (p.y - oy) ** 2
+    if st.exhausted_all:
+        return "kernel disk" if d2 < r2 else "sigma 0"
+    step = "rank" if st.edges_tried > _LAZY_DRAWS else "trial"
+    return step + (" outer disk" if d2 > poly.outer_disk else " quad")
+
+
+class TestPinnedAnswers:
+    # sha256 over repr((verdict.value, *TrialStats)) of every query of
+    # _digest_queries, in order, as classify_improved has answered them
+    # since the outer disk; a speed-up must leave every answer unchanged
+    DIGEST = "e0a3efbe6eda65d740bbe67d15511097566f788a3861a0d3600b20dad72fdf43"
+
+    def test_every_return_path_is_pinned(self):
+        digest = hashlib.sha256()
+        paths = set()
+        for poly, p, policy in _digest_queries():
+            verdict, st = classify_improved(poly, p, policy)
+            digest.update(repr((verdict.value, *st)).encode())
+            paths.add((_return_path(poly, p, st), poly.n == 3))
+        assert paths == {
+            ("far gate", False), ("kernel disk", False), ("sigma 0", False),
+            ("trial quad", False), ("trial outer disk", False),
+            ("rank quad", False), ("rank outer disk", False),
+            ("far gate", True), ("trial quad", True),
+            ("trial outer disk", True)}
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _scaled_convex(n, seed, radius):
@@ -972,6 +1131,70 @@ class TestToleranceBand:
                            classify_raycast(poly, p)[0],
                            classify_fan_triangulation(poly, p)[0])
                     assert got == (want,) * 4, (seed, i, f, got)
+
+
+def _transform_probes(poly, rng):
+    # points 0.5-5 EPS either side of a few edge midpoints and vertices
+    # (vertices moved along the ray from the centroid), and points spread
+    # over the bounding box and past it
+    v = poly.vertices
+    n = len(v)
+    o = poly.centroid()
+    offsets = [s * f * EPS for f in (0.5, 0.99, 1.01, 2.0, 5.0)
+               for s in (1, -1)]
+    points = []
+    for k in rng.integers(0, n, 3).tolist():
+        a, b = v[k], v[(k + 1) % n]
+        points += [off_midpoint(a, b, off) for off in offsets]
+        d = math.hypot(a.x - o.x, a.y - o.y)
+        points += [Point(a.x + off * (a.x - o.x) / d,
+                         a.y + off * (a.y - o.y) / d) for off in offsets]
+    box = bounding_box(poly)
+    w, h = box.max.x - box.min.x, box.max.y - box.min.y
+    for fx, fy in rng.uniform(-0.25, 1.25, (10, 2)).tolist():
+        points.append(Point(box.min.x + fx * w, box.min.y + fy * h))
+    return points
+
+
+class TestExactTransforms:
+    # The quarter turn (x, y) -> (-y, x) and a cyclic relabelling of the
+    # vertices are exact in floating point, so neither may change an answer
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(3, 100), st.integers(0, 2**32), st.integers(0, 4),
+           st.integers(0, 2**32))
+    def test_quarter_turn_keeps_improved_and_fan_answers(self, n, seed,
+                                                         exponent, probe):
+        poly = random_convex(n, seed, 10.0 ** exponent)
+        turned = validate_convex([(-y, x) for x, y in poly.vertices])
+        assert turned.vertices == tuple(Point(-y, x)
+                                        for x, y in poly.vertices)
+        policy = SeededShuffle(probe)
+        for p in _transform_probes(poly, np.random.default_rng(probe)):
+            q = Point(-p.y, p.x)
+            assert classify_improved(poly, p, policy) \
+                == classify_improved(turned, q, policy), p
+            assert classify_fan_triangulation(poly, p) \
+                == classify_fan_triangulation(turned, q), p
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(3, 100), st.integers(0, 2**32), st.integers(0, 4),
+           st.integers(0, 2**32), st.integers(0, 98))
+    def test_relabelling_keeps_every_verdict_and_sigma(self, n, seed,
+                                                        exponent, probe,
+                                                        shift):
+        poly = random_convex(n, seed, 10.0 ** exponent)
+        k = 1 + shift % (n - 1)
+        moved = validate_convex(poly.vertices[k:] + poly.vertices[:k])
+        policy = SeededShuffle(probe)
+
+        def answers(q, p):
+            return (classify_improved(q, p, policy)[0],
+                    classify_raycast(q, p)[0],
+                    classify_fan_triangulation(q, p)[0],
+                    oracle_classify(q, p), sigma(q, p))
+
+        for p in _transform_probes(poly, np.random.default_rng(probe)):
+            assert answers(poly, p) == answers(moved, p), p
 
 
 class TestFarPoint:
