@@ -9,7 +9,11 @@ baselines. All three decide "on the boundary" with the same ring scan
 (``geom._ring_scan``, or its column-array form ``polygon._boundary_scan``
 on large polygons) and the one band ``geom.EPS``, so comparisons measure
 algorithmic work, not boundary handling. No function here, nor ``sigma``,
-takes a tolerance; only the ground truth ``oracle_classify`` does.
+takes a tolerance; only the ground truth ``oracle_classify`` does. A query
+that gets past its first trials finds the edges that admit it through the
+polygon's certified chord caps (``polygon._admitting_edges``), and falls
+back to testing every edge at once only where the caps cannot answer;
+``sigma`` keeps that exhaustive test, the reference count.
 
 Admission rule ("legality"): edge (a, b) with outer neighbors c and d admits
 a point p exactly when p lies strictly on the edge side of the chord c-d.
@@ -37,7 +41,7 @@ from .polygon import (
     Classification,
     ConvexPolygon,
     Quad,
-    _admission_mask,
+    _admitting_edges,
     _boundary_scan,
     _fan_wedge,
 )
@@ -88,9 +92,9 @@ _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, drawing each one in its trial
-# loop, before it tests every edge in one vectorised step (and, if an
-# edge admits, ranks the first admitting edge among the rest of the order
-# by uniform keys). ``edge_order`` draws the same positions in a loop of
+# loop, before it finds every admitting edge in one step, through the chord
+# caps or the vectorised mask (and, if an edge admits, ranks the first
+# admitting edge among the rest of the order by uniform keys). ``edge_order`` draws the same positions in a loop of
 # its own, the reference the query's inline draws are tested against.
 # Exterior and near-boundary queries admit within a few trials and
 # rarely get past them. Fewer trials do not pay: at 8, the queries that
@@ -237,9 +241,13 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     INSIDE with ``exhausted_all`` set. The first ``_LAZY_DRAWS`` edges of
     the order are tried one at a time, each drawn in the trial loop itself
     (the steps of ``edge_order``), so a query that admits early pays only
-    for the edges it tries. A query that gets past them tests every edge in
-    one vectorised step; only when some edge admits does it draw the keys
-    that rank the rest of the order (see ``_rest_keys``), and the first
+    for the edges it tries. A query that gets past them finds every edge
+    that admits it in one step, ``polygon._admitting_edges``: in O(log N)
+    plus the few chords whose certified cap about the polygon's box centre
+    faces the point (``ConvexPolygon.chord_caps``), or, where the caps
+    cannot answer, by testing every edge in one vectorised step; both give
+    the same set. Only when some edge admits does it draw the keys that
+    rank the rest of the order (see ``_rest_keys``), and the first
     admitting edge in it is the admitting edge with the least (key, index),
     found without building the order. A point strictly inside
     ``poly.kernel_disk`` is answered at once: INSIDE with
@@ -298,10 +306,11 @@ def classify_improved(poly: ConvexPolygon, p: Point,
                     TrialStats, (i + 1, i + (5 if n > 3 else 4), e, False))
             return _admitted(verts, e, i + 1, px, py)
     if n > _LAZY_DRAWS:
-        # The prefix edges reject in the mask too, so any admitting edge is
-        # in the rest; a point that none admits (sigma = 0) draws no keys.
-        admitting = _admission_mask(poly, px, py).nonzero()[0]
-        if admitting.size:
+        # The prefix edges reject in this step too, so any admitting edge
+        # is in the rest; a point that none admits (sigma = 0) draws no
+        # keys.
+        admitting = _admitting_edges(poly, px, py)
+        if len(admitting):
             # The first admitting edge in the rest has the least (key,
             # index); argmin breaks ties toward the lower index. Its rank
             # counts the undrawn edges before it in that order.

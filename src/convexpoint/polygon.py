@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -50,6 +52,11 @@ _DISK_SHRINK = 1.0 - 2.0 ** -48
 # ``ConvexPolygon.outer_disk``.
 _OUTER_MARGIN = 2.0 ** -40
 _DISK_GROW = 1.0 + 2.0 ** -48
+# The chord caps' disk reaches 2**-20 of the farthest vertex distance past
+# that vertex, so points a hair outside the ring stay in it, and each cap
+# gains 2**-40 radians of angular slack; see ``ConvexPolygon.chord_caps``.
+_CAP_GROW = 1.0 + 2.0 ** -20
+_CAP_SLACK = 2.0 ** -40
 
 
 class PolygonError(ValueError):
@@ -242,6 +249,79 @@ class ConvexPolygon:
         rho = max(math.hypot(x - ox, y - oy) for x, y in self.vertices)
         r = rho + 2.0 * EPS + _OUTER_MARGIN * (abs(ox) + abs(oy) + rho)
         return r * r * _DISK_GROW
+
+    @cached_property
+    def chord_caps(self) -> tuple | None:
+        """``(gx, gy, r2, width, theta, edge)``, built on first use, or None:
+        the cap table that ``_admitting_edges`` searches. g is the midpoint
+        of the bounding box, and r2 the square of a radius R that reaches
+        2**-20 of the farthest vertex distance past that vertex. Entry k is
+        the chord row (cx, cy, ux, uy) of edge ``edge[k]``, in increasing
+        order of ``theta[k]``, the angle of its outward normal (uy, -ux).
+        A chord's cap is the directions from g within acos(h / R) of that
+        normal, h a certified lower bound on g's distance inside the chord
+        (below), and ``width`` is the widest cap's half-width plus 2**-40
+        radians. Every float point p with ``dx * dx + dy * dy <= r2`` (dx =
+        px - gx, dy = py - gy, both rounded) that passes the chord's float
+        test has ``math.atan2(dy, dx)`` in its cap, so within ``width`` of
+        ``theta[k]`` on the circle, with room to spare for the window's own
+        rounding. Admitting sets need not form one run of edges (on thin
+        rings they split), and the table assumes none: it bounds the
+        directions in which each chord can admit, not which chords do.
+
+        The proof, by the forward error analysis of ``kernel_disk`` (u =
+        2**-53). With T(p) = ux (py - cy) - uy (px - cx) the exact test
+        value, w = (uy, -ux) / hypot(ux, uy) and r = |p - g|, T(p) = D -
+        hypot(ux, uy) s, where D = T(g) and s = (p - g) . w = r cos(phi -
+        theta), phi the exact angle of p - g. The float test passes only
+        where T(p) < c M(p) (c = 3u(1 + u)**2), and M(p) <= A + r (|ux| +
+        |uy|), A = M(g). So for r <= R, s > h = (D - c A - c R (|ux| +
+        |uy|)) / hypot(ux, uy), and when h > 0, cos(phi - theta) > h / r >=
+        h / R: phi lies within acos(h / R) of theta. The table computes h as
+        (D - 2 gamma A - gamma R (|ux| + |uy|)) / hypot(ux, uy) with gamma
+        = 8u, less 2**-48 of itself. The first term covers the rounding of D
+        and the test's c A, gamma covers c, and the excess and the factor
+        cover the rounding of this computation and numpy's hypot, as in
+        ``kernel_disk``, so the h computed is below the exact one, and so is
+        the ratio h / R after its rounding. acos decreases, so ``width``,
+        ``math.acos`` of the least such ratio plus 2**-40 radians, is at
+        least every chord's acos(h / R) plus 2**-40 less a few ulp of pi.
+
+        The query's side: its sum of squares is at least (1 - u)**4 r**2,
+        and r2 = R**2 (1 - 2**-48) after two roundings, so ``dx * dx + dy *
+        dy <= r2`` gives r < R. Rounding dx and dy turns p - g by at most
+        u / (1 - u) radians, atan2 and numpy's arctan2 are off by a few ulp
+        of pi, and the window's bounds and their shift by 2 pi round by as
+        much again: under 1e-14 radians in all, far inside the 2**-40.
+
+        h / R < 1, so acos sees no argument beyond its domain: the chord
+        line lies within the farthest vertex distance of g. The table is
+        None, and every query takes the mask, when some h <= 0: g is not
+        inside every chord line by more than the bound. That always holds
+        for a triangle, whose rows admit its whole closed area, for a
+        square, a pentagon and a hexagon (see ``kernel_disk``). Arrays keep
+        the table compact, 32 kB at N = 2000, and ``bisect`` searches
+        ``theta`` as it is.
+        """
+        # from 4 vertices on, (cx[i], cy[i]) is vertex i - 1; a triangle's
+        # rows are not its vertices, but it gets no table for any g
+        cx, cy, ux, uy = self.chord_columns
+        gx = 0.5 * float(cx.min() + cx.max())
+        gy = 0.5 * float(cy.min() + cy.max())
+        ex, ey = gx - cx, gy - cy
+        r = float(np.hypot(ex, ey).max()) * _CAP_GROW
+        au, av = abs(ux), abs(uy)
+        h = ((ux * ey - uy * ex) - 2.0 * _GAMMA * (au * abs(ey) + av * abs(ex))
+             - _GAMMA * r * (au + av)) / np.hypot(ux, uy)
+        # the least h gives the widest cap, as acos decreases
+        h = float(h.min()) * _DISK_SHRINK
+        if not h > 0.0:
+            return None
+        theta = np.arctan2(-ux, uy)
+        order = theta.argsort(kind="stable")
+        return (gx, gy, r * r * _DISK_SHRINK, math.acos(h / r) + _CAP_SLACK,
+                array("d", theta[order].tobytes()),
+                array("q", order.astype(np.int64, copy=False).tobytes()))
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
@@ -486,6 +566,47 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     return ux * (py - cy) - uy * (px - cx) < -EPS
 
 
+def _admitting_edges(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
+    """The edges that admit ``(px, py)``, in increasing order: the index
+    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through
+    ``ConvexPolygon.chord_caps`` in O(log N + window) when the point lies in
+    the caps' disk. Bisection finds the window of chords whose normal angle
+    lies within the caps' ``width`` of the point's angle about the centre;
+    a window past -pi or +pi goes on at the other end of ``theta``. The
+    table's proof puts every admitting chord in the window, and each chord
+    in it runs the scalar test of ``chords``, bit for bit the mask's entry.
+    Testing a chord costs about as much as testing whether its own cap
+    holds the angle, so the window is not narrowed further. The mask
+    answers when the polygon has no table, the point lies outside the disk,
+    or the window holds more than ``_VECTOR_MIN`` chords, where the scalar
+    loop stops paying. As in ``_admission_mask``, the point lies within
+    ``geom._FAR``."""
+    caps = poly.chord_caps
+    if caps is not None:
+        gx, gy, r2, width, theta, edge = caps
+        dx, dy = px - gx, py - gy
+        if dx * dx + dy * dy <= r2:
+            phi = math.atan2(dy, dx)
+            lo, hi = phi - width, phi + width
+            ks = range(bisect_left(theta, lo), bisect_right(theta, hi))
+            if lo < -math.pi:
+                ks = [*ks, *range(bisect_left(theta, lo + math.tau),
+                                  len(theta))]
+            elif hi > math.pi:
+                ks = [*range(bisect_right(theta, hi - math.tau)), *ks]
+            if len(ks) <= _VECTOR_MIN:
+                chords = poly.chords
+                found = []
+                for k in ks:
+                    e = edge[k]
+                    cx, cy, ux, uy = chords[e]
+                    if ux * (py - cy) - uy * (px - cx) < -EPS:
+                        found.append(e)
+                found.sort()
+                return np.array(found, np.intp)
+    return _admission_mask(poly, px, py).nonzero()[0]
+
+
 def _boundary_scan(poly: ConvexPolygon, px: float, py: float) -> int:
     """``_ring_scan(poly.vertices, px, py)``, the same value, over
     ``ConvexPolygon.ring_columns`` once the polygon has ``_VECTOR_MIN``
@@ -541,9 +662,10 @@ def _fan_wedge(poly: ConvexPolygon, px: float, py: float) -> int:
 
 def sigma(poly: ConvexPolygon, p: Point) -> int:
     """Number of edges that admit ``p`` by the chord-side test, counted by
-    exhaustive scan over all N edges with the admission test of
-    ``classify_improved``, ``_admission_mask``. It counts rather
-    than classifies, so a point beyond ``geom._FAR`` raises GeometryError."""
+    exhaustive scan over all N edges with ``_admission_mask``, the reference
+    count for the edges that ``classify_improved`` finds through
+    ``_admitting_edges``. It counts rather than classifies, so a point
+    beyond ``geom._FAR`` raises GeometryError."""
     px, py = p
     if not _require_finite(px, py):
         raise GeometryError(f"too far out to count admissions: {p!r}")

@@ -538,11 +538,12 @@ class TestClassifyImproved:
 
         # the policy mixes its seed when it is built, and any query that
         # ranks the rest of the order draws keys; the disk answers without
-        # mixing anything or testing a single chord
+        # mixing anything, testing a single chord or reading the caps
         policy = SeededShuffle(3)
         monkeypatch.setattr(classify_module, "_mix64", fail)
         monkeypatch.setattr(classify_module, "_rest_keys", fail)
-        monkeypatch.setattr(classify_module, "_admission_mask", fail)
+        monkeypatch.setattr(classify_module, "_admitting_edges", fail)
+        monkeypatch.setattr(polygon_module, "_admission_mask", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             ox, oy, r2 = poly.kernel_disk
@@ -721,6 +722,26 @@ class TestPinnedAnswers:
             ("far gate", True), ("trial quad", True),
             ("trial outer disk", True)}
         assert digest.hexdigest() == self.DIGEST
+
+    def test_rest_step_takes_the_caps_and_the_mask(self, monkeypatch):
+        # the pinned batch ranks the rest of the order both with admitting
+        # edges found through the chord caps and with those of the mask
+        calls = {"rest": 0, "mask": 0}
+
+        def count(name, real):
+            def kernel(poly, px, py):
+                calls[name] += 1
+                return real(poly, px, py)
+            return kernel
+
+        monkeypatch.setattr(classify_module, "_admitting_edges", count(
+            "rest", classify_module._admitting_edges))
+        monkeypatch.setattr(polygon_module, "_admission_mask", count(
+            "mask", polygon_module._admission_mask))
+        for poly, p, policy in _digest_queries():
+            classify_improved(poly, p, policy)
+        assert calls["mask"] > 0
+        assert calls["rest"] - calls["mask"] > 0
 
 
 def _scaled_convex(n, seed, radius):
@@ -1250,7 +1271,7 @@ class TestFarPoint:
                 for p in self.AT_BOUND] == rows
 
     def test_no_kernel_sees_a_far_point(self, monkeypatch):
-        # wrap the two numpy kernels where every caller looks them up, then
+        # wrap the three kernels where every caller looks them up, then
         # call every public function that takes a query point
         seen = []
 
@@ -1260,14 +1281,20 @@ class TestFarPoint:
                 return real(poly, px, py)
             return kernel
 
-        for name in ("_admission_mask", "_fan_wedge"):
+        for name in ("_admission_mask", "_admitting_edges", "_fan_wedge"):
             wrapped = spy(name, getattr(polygon_module, name))
             monkeypatch.setattr(polygon_module, name, wrapped)
-            monkeypatch.setattr(classify_module, name, wrapped)
+            if hasattr(classify_module, name):
+                monkeypatch.setattr(classify_module, name, wrapped)
         for n in self.SIZES:
             poly = random_convex(n, seed=n)
             ox, oy, _ = poly.kernel_disk
-            for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy)):
+            v = poly.vertices
+            # 2 EPS inside an edge midpoint only 3 edges admit, so at
+            # n = 64 and 2000 the queries mostly get past the lazy draws
+            # and find them through the chord caps
+            near = off_midpoint(v[n // 2], v[n // 2 + 1], -2 * EPS)
+            for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy), near):
                 classify_improved(poly, p, SeededShuffle(3))
                 classify_improved(poly, p,
                                   SeededShuffle(first_edge_seed(1, n)))
@@ -1281,9 +1308,9 @@ class TestFarPoint:
                         count()
                     except GeometryError:
                         assert p in self.POINTS
-        # the spies were reached, by the two near points only
-        assert {name for name, _ in seen} == {"_admission_mask",
-                                               "_fan_wedge"}
+        # the spies were reached, by the three near points only
+        assert {name for name, _ in seen} == {
+            "_admission_mask", "_admitting_edges", "_fan_wedge"}
         assert max(far for _, far in seen) <= 4.0
 
 

@@ -31,6 +31,8 @@ from convexpoint.polygon import (
     NotSimpleError,
     PolygonError,
     TooFewVerticesError,
+    _admission_mask,
+    _admitting_edges,
     _boundary_scan,
     adjacent_quad,
     bounding_box,
@@ -489,6 +491,147 @@ class TestChordTable:
             assert (ax[k], ay[k], by[k], ux[k], uy[k], tol[k]) == (
                 x0, y0, y1, x1 - x0, y1 - y0, abs(x1 - x0) + abs(y1 - y0))
             assert (sx[k], sy[k]) == (x1 - o.x, y1 - o.y)
+
+
+def _hull(points):
+    # the convex hull of (x, y) pairs, counter-clockwise, with no collinear
+    # vertex (Andrew's monotone chain)
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def _cap_probes(poly, rng):
+    # +-{0.5, 1, 2, 5, 10} EPS and +-1e-6 R off the midpoints and start
+    # vertices of 12 edges, and points between the kernel disk and the
+    # outer disk
+    v = poly.vertices
+    n = len(v)
+    ox, oy, r2 = poly.kernel_disk
+    outer = math.sqrt(poly.outer_disk)
+    offs = [s * f * EPS for f in (0.5, 1, 2, 5, 10) for s in (1, -1)]
+    offs += [1e-6 * outer, -1e-6 * outer]
+    points = []
+    for k in rng.integers(0, n, 12).tolist():
+        (ax, ay), (bx, by) = v[k], v[(k + 1) % n]
+        length = math.hypot(bx - ax, by - ay)
+        nx, ny = (by - ay) / length, -(bx - ax) / length
+        for x, y in (((ax + bx) / 2, (ay + by) / 2), (ax, ay)):
+            points += [(x + d * nx, y + d * ny) for d in offs]
+    inner = math.sqrt(max(r2, 0.0))
+    for t, f in zip(rng.uniform(0, 2 * math.pi, 24), rng.uniform(0, 1, 24)):
+        r = inner + f * (outer - inner)
+        points.append((ox + r * math.cos(t), oy + r * math.sin(t)))
+    return points
+
+
+class TestChordCaps:
+    def _same_as_mask(self, polys, rng, monkeypatch):
+        # the helper's edges against the mask's at every probe; returns how
+        # many probes it answered without the mask
+        mask_calls = []
+
+        def counted(poly, px, py):
+            mask_calls.append(1)
+            return _admission_mask(poly, px, py)
+
+        monkeypatch.setattr(polygon, "_admission_mask", counted)
+        located = 0
+        for poly in polys:
+            for px, py in _cap_probes(poly, rng):
+                calls = len(mask_calls)
+                got = sorted(_admitting_edges(poly, px, py).tolist())
+                assert got == _admission_mask(poly, px, py).nonzero()[0] \
+                    .tolist(), (poly.n, px, py)
+                located += len(mask_calls) == calls
+        return located
+
+    def test_random_rings_match_the_mask(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        polys = []
+        for n in (17, 100, 1000, 2000):
+            unit = random_convex(n, seed=n + 90).vertices
+            for radius in (1e-2, 1.0, 1e4, 1e6):
+                for shift in (0.0, 1e6):
+                    polys.append(ConvexPolygon(tuple(
+                        Point(radius * x + shift, radius * y + shift)
+                        for x, y in unit)))
+        assert all(p.chord_caps is not None for p in polys)
+        located = self._same_as_mask(polys, rng, monkeypatch)
+        assert located > len(polys) * 100
+
+    def test_thin_hulls_match_the_mask(self, monkeypatch):
+        # hulls of points on ellipses with axis ratios 1 to 0.01, where
+        # admitting sets can split into runs and caps grow wide
+        rng = np.random.default_rng(92)
+        polys = []
+        for ratio in (1.0, 0.3, 0.1, 0.03, 0.01):
+            for m in (40, 300):
+                t = rng.uniform(0, 2 * math.pi, m)
+                ring = _hull(list(zip(np.cos(t).tolist(),
+                                      (ratio * np.sin(t)).tolist())))
+                polys.append(ConvexPolygon(tuple(map(Point, *zip(*ring)))))
+        assert all(p.n >= 17 for p in polys)
+        self._same_as_mask(polys, rng, monkeypatch)
+
+    def test_the_mask_answers_where_the_caps_cannot(self, monkeypatch):
+        calls = []
+
+        def counted(poly, px, py):
+            calls.append(poly.n)
+            return _admission_mask(poly, px, py)
+
+        monkeypatch.setattr(polygon, "_admission_mask", counted)
+        # a circular sector: the chord at its apex has the box centre on
+        # its edge side, so the polygon has no table
+        sector = validate_convex([(0.0, 0.0)] + [
+            (math.cos(t), math.sin(t)) for t in np.linspace(-0.1, 0.1, 19)])
+        assert sector.chord_caps is None
+        # a point three radii out lies outside the caps' disk
+        ring = random_convex(100, seed=93, radius=10)
+        assert ring.chord_caps is not None
+        # 2 EPS inside a long side of a 1:100 ellipse, about half of the
+        # 200 chords' caps face the point
+        ellipse = validate_convex([
+            (math.cos(2 * math.pi * k / 200),
+             0.01 * math.sin(2 * math.pi * k / 200)) for k in range(200)])
+        assert ellipse.chord_caps[3] > 1.5
+        v = ellipse.vertices
+        cases = [(sector, Point(0.9, 0.0)), (ring, Point(30.0, 0.0)),
+                 (ellipse, Point((v[50].x + v[51].x) / 2,
+                                 (v[50].y + v[51].y) / 2 - 2 * EPS))]
+        for poly, p in cases:
+            del calls[:]
+            got = _admitting_edges(poly, *p)
+            assert calls == [poly.n]
+            assert got.tolist() == _admission_mask(poly, *p).nonzero()[0] \
+                .tolist()
+        # and a near point of the 100-gon is found without the mask
+        del calls[:]
+        v = ring.vertices
+        assert _admitting_edges(ring, *v[7]).tolist() == \
+            _admission_mask(ring, *v[7]).nonzero()[0].tolist()
+        assert calls == []
+
+    def test_built_on_first_use_only(self):
+        poly = random_convex(100, seed=94, radius=10)
+        again = validate_convex(poly.vertices)
+        assert "chord_caps" not in poly.__dict__
+        assert "chord_caps" not in again.__dict__
+        gx, gy, r2, width, theta, edge = poly.chord_caps
+        assert sorted(edge) == list(range(100))
+        assert list(theta) == sorted(theta)
+        assert 0 < width < math.pi / 2
 
 
 class TestBoundaryScan:
