@@ -41,13 +41,13 @@ from .polygon import (
 )
 
 # Every classifier the sweeps, the fuzz and the CLI run, as
-# (poly, p, policy_seed) -> (Classification, TrialStats). The order is the
-# report order and the SVG colour order.
+# (poly, p, policy) -> (Classification, TrialStats), with policy a
+# SeededShuffle that only "improved" reads. The order is the report order
+# and the SVG colour order.
 CLASSIFIERS = {
-    "improved": lambda poly, p, seed: classify_improved(
-        poly, p, SeededShuffle(seed)),
-    "raycast": lambda poly, p, seed: classify_raycast(poly, p),
-    "fan": lambda poly, p, seed: classify_fan_triangulation(poly, p),
+    "improved": classify_improved,
+    "raycast": lambda poly, p, policy: classify_raycast(poly, p),
+    "fan": lambda poly, p, policy: classify_fan_triangulation(poly, p),
 }
 
 _SEED_BOUND = 2**63 - 1
@@ -189,16 +189,17 @@ def _disagreement_payload(poly: ConvexPolygon, p: Point, verdicts: dict) -> dict
 
 
 def _classify_pass(algorithm: str, poly: ConvexPolygon, points: list[Point],
-                   policy_seeds: list[int]):
+                   policies: list[SeededShuffle]):
     """One full classification pass over a point set; returns the
-    (classification, stats) pairs. This is also the timed unit."""
+    (classification, stats) pairs. This is also the timed unit, so the
+    policies are built before it, with the jobs."""
     classify = CLASSIFIERS[algorithm]
-    return [classify(poly, p, s) for p, s in zip(points, policy_seeds)]
+    return [classify(poly, p, policy) for p, policy in zip(points, policies)]
 
 
 def _measure_cells(jobs, cfg: BenchConfig,
                    time_batch: int = 1) -> tuple[list[SweepCell], int]:
-    """jobs: list of (set_index, poly, points, policy_seeds, oracle_verdicts).
+    """jobs: list of (set_index, poly, points, policies, oracle_verdicts).
 
     Per job: one counted pass per algorithm with an oracle cross-check, then
     warmup rounds, then timed repetitions with the algorithms interleaved
@@ -209,10 +210,10 @@ def _measure_cells(jobs, cfg: BenchConfig,
     of the timer-noise regime.
     """
     cells = []
-    for set_index, poly, points, seeds, truths in jobs:
+    for set_index, poly, points, policies, truths in jobs:
         counters = {}
         for algorithm in CLASSIFIERS:
-            results = _classify_pass(algorithm, poly, points, seeds)
+            results = _classify_pass(algorithm, poly, points, policies)
             for p, (verdict, _), truth in zip(points, results, truths):
                 if verdict is not truth:
                     raise OracleDisagreementError(_disagreement_payload(
@@ -225,7 +226,7 @@ def _measure_cells(jobs, cfg: BenchConfig,
 
         for _ in range(cfg.warmup_rounds):
             for algorithm in CLASSIFIERS:
-                _classify_pass(algorithm, poly, points, seeds)
+                _classify_pass(algorithm, poly, points, policies)
         samples = {algorithm: [] for algorithm in CLASSIFIERS}
         gc_was_enabled = gc.isenabled()
         gc.disable()  # keep collection pauses out of individual samples
@@ -234,7 +235,7 @@ def _measure_cells(jobs, cfg: BenchConfig,
                 for algorithm in CLASSIFIERS:
                     t0 = time.perf_counter_ns()
                     for _ in range(time_batch):
-                        _classify_pass(algorithm, poly, points, seeds)
+                        _classify_pass(algorithm, poly, points, policies)
                     samples[algorithm].append(time.perf_counter_ns() - t0)
         finally:
             if gc_was_enabled:
@@ -269,16 +270,16 @@ def run_point_sweep(poly: ConvexPolygon, cfg: BenchConfig) -> SweepReport:
     total = cfg.num_point_sets * cfg.points_per_set
     xs = rng.uniform(box.min.x, box.max.x, total)
     ys = rng.uniform(box.min.y, box.max.y, total)
-    policy_seeds = rng.integers(0, _SEED_BOUND, total).tolist()
+    policies = [SeededShuffle(s)
+                for s in rng.integers(0, _SEED_BOUND, total).tolist()]
     points = [Point(float(x), float(y)) for x, y in zip(xs, ys)]
 
     jobs = []
     pps = cfg.points_per_set
     for s in range(cfg.num_point_sets):
         pts = points[s * pps:(s + 1) * pps]
-        seeds = policy_seeds[s * pps:(s + 1) * pps]
         truths = [oracle_classify(poly, p) for p in pts]
-        jobs.append((s, poly, pts, seeds, truths))
+        jobs.append((s, poly, pts, policies[s * pps:(s + 1) * pps], truths))
 
     cells, baseline = _measure_cells(jobs, cfg)
     meta = {"mode": "point-sweep", "polygon_n": poly.n, "eps": EPS}
@@ -300,9 +301,9 @@ def run_polygon_sweep(cfg: BenchConfig, rule: QueryRule = CENTROID_RULE,
         poly = random_convex(int(nk), int(rng.integers(0, _SEED_BOUND)),
                              radius)
         q = rule.point(poly, rng)
-        seeds = [int(rng.integers(0, _SEED_BOUND))]
+        policies = [SeededShuffle(int(rng.integers(0, _SEED_BOUND)))]
         truths = [oracle_classify(poly, q)]
-        jobs.append((k, poly, [q], seeds, truths))
+        jobs.append((k, poly, [q], policies, truths))
 
     cells, baseline = _measure_cells(jobs, cfg,
                                      time_batch=_POLYGON_SWEEP_TIME_BATCH)
@@ -367,7 +368,8 @@ def trial_expectation_check(poly: ConvexPolygon, p: Point, runs: int,
 
 
 def _verdicts(poly: ConvexPolygon, p: Point, policy_seed: int):
-    verdicts = {name: classify(poly, p, policy_seed)[0]
+    policy = SeededShuffle(policy_seed)
+    verdicts = {name: classify(poly, p, policy)[0]
                 for name, classify in CLASSIFIERS.items()}
     verdicts["oracle"] = oracle_classify(poly, p, 0.0)
     return verdicts

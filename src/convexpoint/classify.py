@@ -9,11 +9,14 @@ baselines. All three decide "on the boundary" with the same ring scan
 (``geom._ring_scan``, or its column-array form ``polygon._boundary_scan``
 on large polygons) and the one band ``geom.EPS``, so comparisons measure
 algorithmic work, not boundary handling. No function here, nor ``sigma``,
-takes a tolerance; only the ground truth ``oracle_classify`` does. A query
-that gets past its first trials finds the edges that admit it through the
-polygon's certified chord caps (``polygon._admitting_edges``), and falls
-back to testing every edge at once only where the caps cannot answer;
-``sigma`` keeps that exhaustive test, the reference count.
+takes a tolerance; only the ground truth ``oracle_classify`` does. Each
+polygon carries one certified table about one centre,
+``ConvexPolygon.disks``: an inner disk that answers deep points INSIDE, an
+outer disk beyond which the admitting edge answers OUTSIDE without its quad
+scan, and chord caps through which a query that gets past its first trials
+finds the edges that admit it (``polygon._admitting_edges``). Where the
+caps cannot answer it tests every edge at once; ``sigma`` keeps that
+exhaustive test, the reference count.
 
 Admission rule ("legality"): edge (a, b) with outer neighbors c and d admits
 a point p exactly when p lies strictly on the edge side of the chord c-d.
@@ -72,9 +75,9 @@ class TrialStats(NamedTuple):
 
     ``edges_tried`` is the number of admission trials, ``intersection_tests``
     adds the fixed quad ray-cast work (4 ring edges, 3 for a triangle) on the
-    successful trial. The quad's share is nominal: a point beyond
-    ``ConvexPolygon.outer_disk`` is answered without the scan and still
-    counts it, as a point in the kernel disk counts the N trials it skips.
+    successful trial. The quad's share is nominal: a point beyond the outer
+    disk of ``ConvexPolygon.disks`` is answered without the scan and still
+    counts it, as a point in its inner disk counts the N trials it skips.
     ``legal_edge`` is the admitting edge index, absent when every edge was
     rejected and ``exhausted_all`` is set, and for a point beyond
     ``geom._FAR``, which no edge is tried for (every counter is 0).
@@ -94,13 +97,14 @@ _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, drawing each one in its trial
 # loop, before it finds every admitting edge in one step, through the chord
 # caps or the vectorised mask (and, if an edge admits, ranks the first
-# admitting edge among the rest of the order by uniform keys). ``edge_order`` draws the same positions in a loop of
-# its own, the reference the query's inline draws are tested against.
-# Exterior and near-boundary queries admit within a few trials and
-# rarely get past them. Fewer trials do not pay: at 8, the queries that
-# admit at trials 9-16 also paid for the vectorised step, and exterior p99
-# rose 1.8-1.9x. Points deep inside, where no edge admits, skip the trials
-# instead through the kernel disk (see ``classify_improved``).
+# admitting edge among the rest of the order by uniform keys).
+# ``edge_order`` draws the same positions in a loop of its own, the
+# reference the query's inline draws are tested against. Exterior and
+# near-boundary queries admit within a few trials and rarely get past
+# them. Fewer trials do not pay: at 8, the queries that admit at trials
+# 9-16 also paid for the vectorised step, and exterior p99 rose 1.8-1.9x.
+# Points deep inside, where no edge admits, skip the trials instead through
+# the inner disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
 
 _tls = threading.local()
@@ -243,25 +247,28 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     (the steps of ``edge_order``), so a query that admits early pays only
     for the edges it tries. A query that gets past them finds every edge
     that admits it in one step, ``polygon._admitting_edges``: in O(log N)
-    plus the few chords whose certified cap about the polygon's box centre
-    faces the point (``ConvexPolygon.chord_caps``), or, where the caps
-    cannot answer, by testing every edge in one vectorised step; both give
-    the same set. Only when some edge admits does it draw the keys that
-    rank the rest of the order (see ``_rest_keys``), and the first
+    plus the few chords whose certified cap faces the point, or, where the
+    caps cannot answer, by testing every edge in one vectorised step; both
+    give the same set. Only when some edge admits does it draw the keys
+    that rank the rest of the order (see ``_rest_keys``), and the first
     admitting edge in it is the admitting edge with the least (key, index),
-    found without building the order. A point strictly inside
-    ``poly.kernel_disk`` is answered at once: INSIDE with
+    found without building the order.
+
+    ``poly.disks``, built at the polygon's first query, holds the centre g,
+    the inner and outer squared radii and the caps; the query computes its
+    squared distance from g once, and both disks read it. A point strictly
+    inside the inner disk is answered at once: INSIDE with
     ``TrialStats(n, n, None, True)``, the verdict and counters of trying
     all N edges. The disk decides only because its radius carries a forward
     error bound, which proves the float chord test false for every chord at
     every float point inside it; a point outside the disk, however close,
-    goes through the trials. A point beyond ``poly.outer_disk`` is answered
-    at its admitting edge, found by the trials or the rank step as above,
+    goes through the trials. A point beyond the outer disk is answered at
+    its admitting edge, found by the trials or the rank step as above,
     without the quad scan: OUTSIDE with ``TrialStats(t, t + 4, e, False)``
-    (``t + 3`` for a triangle), which its quad would have answered, as
-    that disk's certified radius proves. A query that exhausts never
-    reaches it. The counters, the quad's 4 (or 3) tests included, are
-    those of trying the edges one at a time and scanning the quad.
+    (``t + 3`` for a triangle), which its quad would have answered, as the
+    same bound proves. A query that exhausts never reaches it. The
+    counters, the quad's 4 (or 3) tests included, are those of trying the
+    edges one at a time and scanning the quad.
 
     The query starts its draws from ``policy.state``, the seed the policy
     mixed when it was built, and mixes no seed itself; so a caller that
@@ -278,10 +285,10 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         return Classification.OUTSIDE, TrialStats(0, 0, None, False)
     verts = poly.vertices
     n = len(verts)
-    ox, oy, r2 = poly.kernel_disk
-    dx, dy = px - ox, py - oy
+    gx, gy, inner, outer, _ = poly.disks
+    dx, dy = px - gx, py - gy
     d2 = dx * dx + dy * dy
-    if d2 < r2:
+    if d2 < inner:
         return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
     chords = poly.chords
     neg = -EPS
@@ -299,7 +306,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         drawn.append(e)
         cx, cy, ux, uy = chords[e]
         if ux * (py - cy) - uy * (px - cx) < neg:
-            if d2 > poly.outer_disk:
+            if d2 > outer:
                 # i + 1 trials and the quad's nominal 4 tests, 3 for a
                 # triangle
                 return Classification.OUTSIDE, _new(
@@ -321,7 +328,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
             rank = int(np.count_nonzero(keys[:edge] <= key)
                        + np.count_nonzero(keys[edge:] < key))
             tried = lazy + rank + 1
-            if d2 > poly.outer_disk:
+            if d2 > outer:
                 return Classification.OUTSIDE, _new(
                     TrialStats, (tried, tried + 4, edge, False))
             return _admitted(verts, edge, tried, px, py)

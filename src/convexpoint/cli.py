@@ -25,7 +25,7 @@ from .bench import (
     run_polygon_sweep,
     trial_expectation_check,
 )
-from .classify import DEFAULT_SEED
+from .classify import DEFAULT_SEED, SeededShuffle
 from .geom import GeometryError, Point, _require_finite
 from .polygon import PolygonError, dump_polygon, load_polygon, random_convex
 
@@ -45,7 +45,8 @@ def _parse_point(text: str) -> Point:
 def _cmd_classify(args) -> int:
     poly = load_polygon(args.polygon)
     p = _parse_point(args.point)
-    verdict, stats = CLASSIFIERS[args.algorithm](poly, p, args.policy_seed)
+    verdict, stats = CLASSIFIERS[args.algorithm](
+        poly, p, SeededShuffle(args.policy_seed))
     print(verdict.value)
     print(f"edges_tried={stats.edges_tried} "
           f"intersection_tests={stats.intersection_tests}")

@@ -42,22 +42,18 @@ from .geom import (
 # 400 box points each, two runs).
 _VECTOR_MIN = 40
 
-# The kernel disk's error allowance, 8 units of roundoff (8 * 2**-53), and
-# the relative slack taken off its radius and squared radius; see
-# ``ConvexPolygon.kernel_disk``.
+# The certified disks' error allowance, 8 units of roundoff (8 * 2**-53),
+# and the relative slack taken off a lower bound and an inner squared
+# radius; the outer disk's relative margin on |gx| + |gy| + rho, 8192 units
+# of roundoff, and the growth of its squared radius; the caps' radius, the
+# outer radius grown past every point the outer test keeps, and the
+# angular slack each cap gains. See ``ConvexPolygon.disks``.
 _GAMMA = 2.0 ** -50
 _DISK_SHRINK = 1.0 - 2.0 ** -48
-# The outer disk's relative margin on |ox| + |oy| + rho, 8192 units of
-# roundoff, and its relative growth of the squared radius; see
-# ``ConvexPolygon.outer_disk``.
 _OUTER_MARGIN = 2.0 ** -40
 _DISK_GROW = 1.0 + 2.0 ** -48
-# The chord caps' disk reaches 2**-20 of the farthest vertex distance past
-# that vertex, so points a hair outside the ring stay in it, and each cap
-# gains 2**-40 radians of angular slack; see ``ConvexPolygon.chord_caps``.
-_CAP_GROW = 1.0 + 2.0 ** -20
+_CAP_GROW = 1.0 + 2.0 ** -46
 _CAP_SLACK = 2.0 ** -40
-
 
 class PolygonError(ValueError):
     """Base class for polygon validation failures."""
@@ -135,7 +131,15 @@ class ConvexPolygon:
         """The chord table as the contiguous float64 columns ``cx, cy, ux,
         uy``, built on first use; see ``_admission_mask``. A tuple of
         arrays, like ``ring_columns``."""
-        return tuple(np.array(self.chords, dtype=np.float64).T.copy())
+        n = len(self.vertices)
+        return tuple(np.fromiter(chain.from_iterable(self.chords), np.float64,
+                                 4 * n).reshape(n, 4).T.copy())
+
+    def _vertex_array(self) -> np.ndarray:
+        # the vertices as an (n, 2) float64 array, read in one pass
+        n = len(self.vertices)
+        return np.fromiter(chain.from_iterable(self.vertices), np.float64,
+                           2 * n).reshape(n, 2)
 
     @cached_property
     def ring_columns(self) -> tuple[np.ndarray, ...]:
@@ -145,7 +149,7 @@ class ConvexPolygon:
         ``_boundary_scan``. A tuple of arrays: unpacking the rows of a 2-D
         array would build a view per row on every call, about 1 µs for
         four rows."""
-        v = np.array(self.vertices, dtype=np.float64)
+        v = self._vertex_array()
         a = np.roll(v, 1, axis=0)
         ux = v[:, 0] - a[:, 0]
         uy = v[:, 1] - a[:, 1]
@@ -156,172 +160,145 @@ class ConvexPolygon:
     def spoke_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex i, the spoke ``V[i] - V[0]`` as the float64 columns
         ``sx, sy``, built on first use; see ``_fan_wedge``."""
-        v = np.array(self.vertices, dtype=np.float64)
+        v = self._vertex_array()
         return v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
 
     @cached_property
-    def kernel_disk(self) -> tuple[float, float, float]:
-        """``(ox, oy, r2)``: the vertex centroid o and a squared radius,
-        built on first use, such that no edge admits any float point p
-        with ``dx * dx + dy * dy < r2`` (dx = px - ox, dy = py - oy, both
-        rounded): for every chord the float test of ``chords`` is false.
-        The radius is certified by a forward error bound, so the disk
-        decides, not only up to rounding.
+    def disks(self) -> tuple:
+        """``(gx, gy, inner, outer, caps)``, built on a query's first use in
+        one numpy pass over ``chord_columns``: a centre g and three
+        certified tables about it. For a float point p, let dx = px - gx and
+        dy = py - gy, both rounded, and d2 = dx * dx + dy * dy.
 
-        The bound, by forward error analysis (u = 2**-53; Higham,
-        "Accuracy and Stability of Numerical Algorithms", ch. 3; the
-        static filter of Shewchuk, "Adaptive Precision Floating-Point
-        Arithmetic and Fast Robust Geometric Predicates", 1997). Two
-        rounded differences, two products and one subtraction put the
-        float test value at p within c * M(p) of its exact value
-        T(p) = ux * (py - cy) - uy * (px - cx), with c = 3u(1 + u)**2 and
-        M(p) = |ux| |py - cy| + |uy| |px - cx|; underflow adds under
-        2**-1070, far below ``EPS``. So the test is false wherever
-        T(p) > c * M(p). With D and A the values of T and M at o, and
-        |p - o| <= rho, T(p) >= D(o) - hypot(ux, uy) rho and M(p) <= A(o)
-        + rho (|ux| + |uy|), so that holds for every rho below
-        (D(o) - c A(o)) / (hypot(ux, uy) + c (|ux| + |uy|)). Each chord's
-        radius is taken with gamma = 8u in place of c:
-        rho_i = (D(o) - 2 gamma A(o)) / (hypot(ux, uy) + gamma (|ux| +
-        |uy|)). The extra 13u on A(o) and 5u on |ux| + |uy| >= hypot(ux,
-        uy), with the factor (1 - 2**-48) on r = min rho_i and again on
-        r2 = r**2, cover the rounding of this computation, numpy's hypot
-        and the query's own dx * dx + dy * dy.
+        - If ``d2 < inner``, no edge admits p: the float test of ``chords``
+          is false for every chord. ``inner`` is -1, an empty disk, when no
+          radius is certified.
+        - If ``d2 > outer``, p is OUTSIDE for the quad scan of every edge:
+          ``geom._ring_scan`` over the ring (a, b, d, c), or the triangle
+          (a, b, c), finds no ring edge within EPS and an even crossing
+          count.
+        - If ``d2 <= outer``, p faces the cap of every chord that admits it.
+          ``caps`` is ``(width, theta, edge)``: entry k is the chord of edge
+          ``edge[k]``, in increasing order of ``theta[k]``, the angle of its
+          outward normal (uy, -ux), and ``math.atan2(dy, dx)`` lies within
+          ``width`` of the ``theta[k]`` of every chord that admits p, on the
+          circle. The caps bound the directions in which each chord can
+          admit, not which chords do: admitting sets need not form one run
+          of edges, and on thin rings they split. ``caps`` is None when some
+          chord's lower bound h (below) is not positive.
 
-        ``r2`` is -1, an empty disk, when r <= 0: the centroid is not on
-        the inner side of every chord by more than the bound. That always
-        holds for a triangle, whose every edge admits its centroid, for a
-        square, whose chords are its edges reversed, for a pentagon, and
-        for a hexagon, whose chords i and i + 3 are one line, reversed.
-        """
-        o = self.centroid()
-        cx, cy, ux, uy = self.chord_columns
-        ex, ey = o.x - cx, o.y - cy
-        au, av = abs(ux), abs(uy)
-        d = ux * ey - uy * ex
-        a = au * abs(ey) + av * abs(ex)
-        rho = ((d - 2.0 * _GAMMA * a)
-               / (np.hypot(ux, uy) + _GAMMA * (au + av)))
-        r = float(rho.min()) * _DISK_SHRINK
-        return o.x, o.y, r * r * _DISK_SHRINK if r > 0.0 else -1.0
+        g is whichever of the vertex mean and the bounding box's midpoint
+        has the larger inner radius, and the vertex mean when neither has
+        one. Neither is always the deeper: the vertex mean is on many rings
+        of a dozen vertices, the box midpoint on most random rings of
+        thousands, where the vertex mean's caps are many times wider.
 
-    @cached_property
-    def outer_disk(self) -> float:
-        """A squared radius R2 about ``kernel_disk``'s centre o, built on
-        first use, such that every float point p with ``dx * dx + dy * dy
-        > R2`` (dx = px - ox, dy = py - oy, both rounded) is OUTSIDE for
-        the quad scan of every edge: ``geom._ring_scan`` over the ring
-        (a, b, d, c), or the triangle (a, b, c), finds no ring edge within
-        EPS and an even crossing count. Like ``kernel_disk``'s, the radius
-        carries a forward error bound (u = 2**-53), so the disk decides.
+        The bound, by forward error analysis (u = 2**-53; Higham, "Accuracy
+        and Stability of Numerical Algorithms", ch. 3; the static filter of
+        Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+        Robust Geometric Predicates", 1997). Two rounded differences, two
+        products and one subtraction put a chord's float test value at p
+        within c M(p) of its exact value T(p) = ux (py - cy) - uy (px - cx),
+        with c = 3u(1 + u)**2 and M(p) = |ux| |py - cy| + |uy| |px - cx|;
+        underflow adds under 2**-1070, far below ``EPS``. The test compares
+        with -EPS < 0, so it is false wherever T(p) > c M(p). Let D = T(g),
+        A = M(g), r = |p - g| and s = (p - g) . (uy, -ux) / hypot(ux, uy),
+        p's reach along the outward normal; then T(p) = D - hypot(ux, uy) s,
+        s <= r and M(p) <= A + r (|ux| + |uy|). The table computes t =
+        D - 2 gamma A per chord, with gamma = 8u: the excess 13u on A covers
+        the rounding of D, A and t, and gamma stands in for c. Each use of t
+        below takes a factor (1 - 2**-48) on its result, which with that
+        excess covers the rounding of the use and of numpy's hypot.
 
-        With rho the largest computed vertex distance from o, the exact
-        one is at most rho (1 + 4u) (two rounded differences, ``hypot``
-        under 1 ulp). The radius r = rho + 2 EPS + 2**-40 S, with
-        S = |ox| + |oy| + rho, takes at most three roundings on any term,
-        so it comes out at least (1 - 3u) times its exact value, and R2 =
-        r**2 (1 + 2**-48) takes two more. The query's sum of squares is at
-        most (1 + u)**4 |p - o|**2 (+inf only for a p far beyond the disk),
-        so it exceeds R2 only when |p - o| > r. Every point X of a ring
-        edge lies within rho (1 + 4u) of o, as the disk is convex, so
-        |p - X| > m = 2 EPS (1 - 3u) + S (2**-40 - 11u).
+        Inner. For r <= rho the test is false when D - hypot(ux, uy) rho >
+        c (A + rho (|ux| + |uy|)), so for every rho below (D - c A) /
+        (hypot(ux, uy) + c (|ux| + |uy|)). Each chord's radius is computed as
+        t / (hypot(ux, uy) + gamma (|ux| + |uy|)), and the excess 5u on
+        |ux| + |uy| >= hypot(ux, uy) and the factor (1 - 2**-48) on the least
+        radius and again on ``inner``, its square, cover also the query's
+        rounded d2.
 
-        No ring edge is within EPS: ``_dist_point_segment`` measures p's
-        distance to a rounded point (ax + t ux, ay + t uy), t a float in
-        [0, 1], or to a, which is within 11u S of an exact point X of the
-        edge; the differences and ``hypot`` then lose under 3u relative,
-        so the distance it returns exceeds (m - 11u S)(1 - 3u) > EPS.
-
-        The crossing count is even: whether an edge straddles the ray's
-        height is an exact comparison, and around a closed ring the
-        straddling edges are even in number. A straddling edge crosses
-        height py at X = a + t (b - a), with t = (py - ay) / (by - ay)
-        exactly in [0, 1], so |px - Xx| = |p - X| > m, while the abscissa
-        the scan computes is within 12u S of Xx. So each straddling edge
-        counts as its exact crossing lies right of p or not. Every crossing
-        lies in the disk of radius rho (1 + 4u) about o, whose chord at
-        height py is one interval, and p at that height lies outside the
+        Outer. With rho the largest computed vertex distance from g, the
+        exact one is at most rho (1 + 4u) (two rounded differences, numpy's
+        hypot under 1 ulp). The radius rho_o = rho + 2 EPS + 2**-40 S, with
+        S = |gx| + |gy| + rho, takes at most three roundings on any term, so
+        it comes out at least (1 - 3u) times its exact value, and ``outer``
+        = rho_o**2 (1 + 2**-48) takes two more. The query's d2 is at most
+        (1 + u)**4 r**2 (+inf only for a p far beyond the disk), so it
+        exceeds ``outer`` only when r > rho_o. Every point X of a ring edge
+        lies within rho (1 + 4u) of g, as the disk is convex, so |p - X| > m
+        = 2 EPS (1 - 3u) + S (2**-40 - 11u). No ring edge is within EPS:
+        ``_dist_point_segment`` measures p's distance to a rounded point (ax
+        + t ux, ay + t uy), t a float in [0, 1], or to a, which is within
+        11u S of an exact point X of the edge; the differences and ``hypot``
+        then lose under 3u relative, so the distance it returns exceeds (m -
+        11u S)(1 - 3u) > EPS. The crossing count is even: whether an edge
+        straddles the ray's height is an exact comparison, and around a
+        closed ring the straddling edges are even in number. A straddling
+        edge crosses height py at X = a + t (b - a), with t = (py - ay) /
+        (by - ay) exactly in [0, 1], so |px - Xx| = |p - X| > m, while the
+        abscissa the scan computes is within 12u S of Xx. So each straddling
+        edge counts as its exact crossing lies right of p or not. Every
+        crossing lies in the disk of radius rho (1 + 4u) about g, whose chord
+        at height py is one interval, and p at that height lies outside the
         disk and so beyond one end of the interval: all the crossings or
         none count.
-        Underflow adds under 2**-1070 to each error, far below EPS.
+
+        Caps. Their radius R is rho_o grown by 2**-46. The query's d2 is at
+        least (1 - u)**4 r**2 and ``outer`` at most rho_o**2 (1 + 2**-48)
+        (1 + u)**2, so ``d2 <= outer`` gives r < rho_o (1 + 2**-49 + 4u) < R.
+        Where the test passes, T(p) < c M(p) <= c (A + R (|ux| + |uy|)), so
+        s > h = (D - c A - c R (|ux| + |uy|)) / hypot(ux, uy); when h > 0,
+        s / r = cos(phi - theta) > h / R, with phi the exact angle of p - g:
+        phi lies within acos(h / R) of theta. The table computes h as (t -
+        gamma R (|ux| + |uy|)) / hypot(ux, uy), less 2**-48 of itself, below
+        the exact one, and so is h / R after its rounding. acos decreases,
+        so ``width``, ``math.acos`` of the least such ratio plus 2**-40
+        radians, is at least every chord's acos(h / R) plus 2**-40 less a
+        few ulp of pi. Rounding dx and dy turns p - g by at most u / (1 - u)
+        radians, atan2 and numpy's arctan2 are off by a few ulp of pi, and
+        the window's bounds and their shift by 2 pi round by as much again:
+        under 1e-14 radians in all, far inside the 2**-40. h / R < 1, as the
+        chord line passes through a vertex, within rho (1 + 4u) of g, so
+        acos sees no argument beyond its domain.
+
+        The inner disk is empty and ``caps`` None, about any centre, for a
+        triangle, whose rows admit its whole closed area, a square, whose
+        chords are its edges reversed, a pentagon, where the inner sides of
+        chords 1 and 3 meet only at V0, and a hexagon, whose chords i and
+        i + 3 are one line, reversed. Arrays keep the caps compact, 32 kB at
+        N = 2000, and ``bisect`` searches ``theta`` as it is.
         """
-        ox, oy, _ = self.kernel_disk
-        rho = max(math.hypot(x - ox, y - oy) for x, y in self.vertices)
-        r = rho + 2.0 * EPS + _OUTER_MARGIN * (abs(ox) + abs(oy) + rho)
-        return r * r * _DISK_GROW
-
-    @cached_property
-    def chord_caps(self) -> tuple | None:
-        """``(gx, gy, r2, width, theta, edge)``, built on first use, or None:
-        the cap table that ``_admitting_edges`` searches. g is the midpoint
-        of the bounding box, and r2 the square of a radius R that reaches
-        2**-20 of the farthest vertex distance past that vertex. Entry k is
-        the chord row (cx, cy, ux, uy) of edge ``edge[k]``, in increasing
-        order of ``theta[k]``, the angle of its outward normal (uy, -ux).
-        A chord's cap is the directions from g within acos(h / R) of that
-        normal, h a certified lower bound on g's distance inside the chord
-        (below), and ``width`` is the widest cap's half-width plus 2**-40
-        radians. Every float point p with ``dx * dx + dy * dy <= r2`` (dx =
-        px - gx, dy = py - gy, both rounded) that passes the chord's float
-        test has ``math.atan2(dy, dx)`` in its cap, so within ``width`` of
-        ``theta[k]`` on the circle, with room to spare for the window's own
-        rounding. Admitting sets need not form one run of edges (on thin
-        rings they split), and the table assumes none: it bounds the
-        directions in which each chord can admit, not which chords do.
-
-        The proof, by the forward error analysis of ``kernel_disk`` (u =
-        2**-53). With T(p) = ux (py - cy) - uy (px - cx) the exact test
-        value, w = (uy, -ux) / hypot(ux, uy) and r = |p - g|, T(p) = D -
-        hypot(ux, uy) s, where D = T(g) and s = (p - g) . w = r cos(phi -
-        theta), phi the exact angle of p - g. The float test passes only
-        where T(p) < c M(p) (c = 3u(1 + u)**2), and M(p) <= A + r (|ux| +
-        |uy|), A = M(g). So for r <= R, s > h = (D - c A - c R (|ux| +
-        |uy|)) / hypot(ux, uy), and when h > 0, cos(phi - theta) > h / r >=
-        h / R: phi lies within acos(h / R) of theta. The table computes h as
-        (D - 2 gamma A - gamma R (|ux| + |uy|)) / hypot(ux, uy) with gamma
-        = 8u, less 2**-48 of itself. The first term covers the rounding of D
-        and the test's c A, gamma covers c, and the excess and the factor
-        cover the rounding of this computation and numpy's hypot, as in
-        ``kernel_disk``, so the h computed is below the exact one, and so is
-        the ratio h / R after its rounding. acos decreases, so ``width``,
-        ``math.acos`` of the least such ratio plus 2**-40 radians, is at
-        least every chord's acos(h / R) plus 2**-40 less a few ulp of pi.
-
-        The query's side: its sum of squares is at least (1 - u)**4 r**2,
-        and r2 = R**2 (1 - 2**-48) after two roundings, so ``dx * dx + dy *
-        dy <= r2`` gives r < R. Rounding dx and dy turns p - g by at most
-        u / (1 - u) radians, atan2 and numpy's arctan2 are off by a few ulp
-        of pi, and the window's bounds and their shift by 2 pi round by as
-        much again: under 1e-14 radians in all, far inside the 2**-40.
-
-        h / R < 1, so acos sees no argument beyond its domain: the chord
-        line lies within the farthest vertex distance of g. The table is
-        None, and every query takes the mask, when some h <= 0: g is not
-        inside every chord line by more than the bound. That always holds
-        for a triangle, whose rows admit its whole closed area, for a
-        square, a pentagon and a hexagon (see ``kernel_disk``). Arrays keep
-        the table compact, 32 kB at N = 2000, and ``bisect`` searches
-        ``theta`` as it is.
-        """
-        # from 4 vertices on, (cx[i], cy[i]) is vertex i - 1; a triangle's
-        # rows are not its vertices, but it gets no table for any g
         cx, cy, ux, uy = self.chord_columns
-        gx = 0.5 * float(cx.min() + cx.max())
-        gy = 0.5 * float(cy.min() + cy.max())
-        ex, ey = gx - cx, gy - cy
-        r = float(np.hypot(ex, ey).max()) * _CAP_GROW
+        n = len(cx)
+        # from 4 vertices on, (cx[i], cy[i]) is vertex i - 1; a triangle's
+        # rows are not its vertices
+        vx, vy = (cx, cy) if n > 3 else self._vertex_array().T
+        # the candidate centres as rows: the vertex mean, the box midpoint
+        ox = np.array(((vx.sum() / n,), (0.5 * (vx.min() + vx.max()),)))
+        oy = np.array(((vy.sum() / n,), (0.5 * (vy.min() + vy.max()),)))
+        ex, ey = ox - cx, oy - cy
         au, av = abs(ux), abs(uy)
-        h = ((ux * ey - uy * ex) - 2.0 * _GAMMA * (au * abs(ey) + av * abs(ex))
-             - _GAMMA * r * (au + av)) / np.hypot(ux, uy)
+        hyp, l1 = np.hypot(ux, uy), au + av
+        t = (ux * ey - uy * ex) - 2.0 * _GAMMA * (au * abs(ey) + av * abs(ex))
+        depth = (t / (hyp + _GAMMA * l1)).min(axis=1).tolist()
+        k = 1 if depth[1] > max(depth[0], 0.0) else 0
+        gx, gy = float(ox[k, 0]), float(oy[k, 0])
+        r = depth[k] * _DISK_SHRINK
+        inner = r * r * _DISK_SHRINK if r > 0.0 else -1.0
+        rho = float(np.hypot(vx - gx, vy - gy).max())
+        r = rho + 2.0 * EPS + _OUTER_MARGIN * (abs(gx) + abs(gy) + rho)
+        cap_r = r * _CAP_GROW
         # the least h gives the widest cap, as acos decreases
-        h = float(h.min()) * _DISK_SHRINK
-        if not h > 0.0:
-            return None
-        theta = np.arctan2(-ux, uy)
-        order = theta.argsort(kind="stable")
-        return (gx, gy, r * r * _DISK_SHRINK, math.acos(h / r) + _CAP_SLACK,
-                array("d", theta[order].tobytes()),
-                array("q", order.astype(np.int64, copy=False).tobytes()))
+        h = float(((t[k] - _GAMMA * cap_r * l1) / hyp).min()) * _DISK_SHRINK
+        caps = None
+        if h > 0.0:
+            theta = np.arctan2(-ux, uy)
+            order = theta.argsort(kind="stable")
+            caps = (math.acos(h / cap_r) + _CAP_SLACK,
+                    array("d", theta[order].tobytes()),
+                    array("q", order.astype(np.int64, copy=False).tobytes()))
+        return gx, gy, inner, r * r * _DISK_GROW, caps
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
@@ -568,24 +545,24 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
 
 def _admitting_edges(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     """The edges that admit ``(px, py)``, in increasing order: the index
-    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through
-    ``ConvexPolygon.chord_caps`` in O(log N + window) when the point lies in
-    the caps' disk. Bisection finds the window of chords whose normal angle
-    lies within the caps' ``width`` of the point's angle about the centre;
-    a window past -pi or +pi goes on at the other end of ``theta``. The
-    table's proof puts every admitting chord in the window, and each chord
-    in it runs the scalar test of ``chords``, bit for bit the mask's entry.
-    Testing a chord costs about as much as testing whether its own cap
-    holds the angle, so the window is not narrowed further. The mask
-    answers when the polygon has no table, the point lies outside the disk,
-    or the window holds more than ``_VECTOR_MIN`` chords, where the scalar
-    loop stops paying. As in ``_admission_mask``, the point lies within
-    ``geom._FAR``."""
-    caps = poly.chord_caps
+    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through the
+    caps of ``ConvexPolygon.disks`` in O(log N + window) when the point is
+    not beyond the outer disk. Bisection finds the window of chords whose
+    normal angle lies within the caps' ``width`` of the point's angle about
+    the centre; a window past -pi or +pi goes on at the other end of
+    ``theta``. The table's proof puts every admitting chord in the window,
+    and each chord in it runs the scalar test of ``chords``, bit for bit the
+    mask's entry. Testing a chord costs about as much as testing whether its
+    own cap holds the angle, so the window is not narrowed further. The mask
+    answers when the polygon has no caps, the point lies beyond the outer
+    disk, or the window holds more than ``_VECTOR_MIN`` chords, where the
+    scalar loop stops paying. As in ``_admission_mask``, the point lies
+    within ``geom._FAR``."""
+    gx, gy, _, outer, caps = poly.disks
     if caps is not None:
-        gx, gy, r2, width, theta, edge = caps
         dx, dy = px - gx, py - gy
-        if dx * dx + dy * dy <= r2:
+        if dx * dx + dy * dy <= outer:
+            width, theta, edge = caps
             phi = math.atan2(dy, dx)
             lo, hi = phi - width, phi + width
             ks = range(bisect_left(theta, lo), bisect_right(theta, hi))

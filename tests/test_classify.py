@@ -463,11 +463,11 @@ class TestClassifyImproved:
         monkeypatch.setattr(classify_module, "_edge_keys", fail)
         for n in (_LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
-            # the chord lines bound a regular n-gon with the kernel disk as
+            # the chord lines bound a regular n-gon with the inner disk as
             # its incircle; halfway out toward one of its corners (direction
             # V0) no edge admits, but the point is outside the disk, so it
             # goes through the lazy prefix first
-            r = math.sqrt(poly.kernel_disk[2])
+            r = math.sqrt(poly.disks[2])
             corner = Point(r * (1 + 0.5 * (1 / math.cos(math.pi / n) - 1)),
                            0.0)
             assert corner.x > r
@@ -546,7 +546,7 @@ class TestClassifyImproved:
         monkeypatch.setattr(polygon_module, "_admission_mask", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
-            ox, oy, r2 = poly.kernel_disk
+            ox, oy, r2, _, _ = poly.disks
             r = math.sqrt(r2)
             deep = [Point(ox, oy)] + [
                 Point(ox + 0.5 * r * math.cos(t), oy + 0.5 * r * math.sin(t))
@@ -572,8 +572,8 @@ class TestClassifyImproved:
 
         n = 2000
         poly = regular_ngon(n)
-        ox, oy, _ = poly.kernel_disk
-        r = math.sqrt(poly.outer_disk)
+        ox, oy, _, r2, _ = poly.disks
+        r = math.sqrt(r2)
         v = poly.vertices
         points = [Point(ox + f * r * math.cos(t), oy + f * r * math.sin(t))
                   for f in (1.001, 3.0) for t in (0.0, 2.0)]
@@ -600,8 +600,8 @@ class TestClassifyImproved:
         past_prefix = 0
         for n in (3, 4, 12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
-            ox, oy, _ = poly.kernel_disk
-            r = math.sqrt(poly.outer_disk)
+            ox, oy, _, r2, _ = poly.disks
+            r = math.sqrt(r2)
             far = [Point(ox + f * r * math.cos(t), oy + f * r * math.sin(t))
                    for f in (1.001, 3.0) for t in (0.0, 0.3, 2.0, 4.4)]
             for p in far:
@@ -618,7 +618,7 @@ class TestClassifyImproved:
 
     def test_unknown_policy_rejected_for_every_point(self):
         for poly in (TRIANGLE, SQUARE, regular_ngon(12), regular_ngon(100)):
-            ox, oy, _ = poly.kernel_disk
+            ox, oy = poly.disks[:2]
             for p in (Point(ox, oy), poly.vertices[1]):
                 with pytest.raises(TypeError):
                     classify_improved(poly, p, object())
@@ -654,6 +654,26 @@ class TestClassifyImproved:
                         assert got is truth
 
 
+def _centroid_radii(poly):
+    # (ox, oy, r2, R2): the vertex centroid o, and the squared radii about o
+    # of the inner and outer disks by the formulas that held when DIGEST
+    # was taken, when both disks were centred there; the pinned points are
+    # placed by them
+    o = poly.centroid()
+    cx, cy, ux, uy = poly.chord_columns
+    ex, ey = o.x - cx, o.y - cy
+    au, av = abs(ux), abs(uy)
+    d = ux * ey - uy * ex
+    a = au * abs(ey) + av * abs(ex)
+    gamma, shrink = 2.0 ** -50, 1.0 - 2.0 ** -48
+    rho = (d - 2.0 * gamma * a) / (np.hypot(ux, uy) + gamma * (au + av))
+    r = float(rho.min()) * shrink
+    far = max(math.hypot(x - o.x, y - o.y) for x, y in poly.vertices)
+    big = far + 2.0 * EPS + 2.0 ** -40 * (abs(o.x) + abs(o.y) + far)
+    return (o.x, o.y, r * r * shrink if r > 0.0 else -1.0,
+            big * big * (1.0 + 2.0 ** -48))
+
+
 def _digest_queries():
     # (poly, p, policy) of a fixed seeded batch that reaches every return
     # of classify_improved at n in {3, 4, 12, 17, 100, 1000}
@@ -662,8 +682,8 @@ def _digest_queries():
         poly = random_convex(n, seed, radius=10)
         rng = np.random.default_rng(seed)
         v = poly.vertices
-        ox, oy, _ = poly.kernel_disk
-        r = math.sqrt(poly.outer_disk)
+        ox, oy, rk2, r2 = _centroid_radii(poly)
+        r = math.sqrt(r2)
         points = [Point(1e300, -1e300), Point(ox, oy)]
         # uniform in the disk of radius 1.2 r, inside and outside
         for t, f in zip(rng.uniform(0, 2 * math.pi, 12),
@@ -671,7 +691,7 @@ def _digest_queries():
             points.append(Point(ox + f * r * math.cos(t),
                                 oy + f * r * math.sin(t)))
         # just outside the kernel disk, where few edges or none admit
-        rk = math.sqrt(max(poly.kernel_disk[2], 0.0))
+        rk = math.sqrt(max(rk2, 0.0))
         for t in rng.uniform(0, 2 * math.pi, 4):
             for f in (1.02, 1.1):
                 points.append(Point(ox + f * rk * math.cos(t),
@@ -694,12 +714,13 @@ def _return_path(poly, p, st):
     # which return of classify_improved gave the counters ``st``
     if st.edges_tried == 0:
         return "far gate"
-    ox, oy, r2 = poly.kernel_disk
-    d2 = (p.x - ox) ** 2 + (p.y - oy) ** 2
+    gx, gy, inner, outer, _ = poly.disks
+    dx, dy = p.x - gx, p.y - gy
+    d2 = dx * dx + dy * dy
     if st.exhausted_all:
-        return "kernel disk" if d2 < r2 else "sigma 0"
+        return "kernel disk" if d2 < inner else "sigma 0"
     step = "rank" if st.edges_tried > _LAZY_DRAWS else "trial"
-    return step + (" outer disk" if d2 > poly.outer_disk else " quad")
+    return step + (" outer disk" if d2 > outer else " quad")
 
 
 class TestPinnedAnswers:
@@ -751,13 +772,22 @@ def _scaled_convex(n, seed, radius):
                                for v in random_convex(n, seed).vertices))
 
 
-def _with_disk(poly, r2):
-    # the same polygon with its kernel disk replaced by one of squared
-    # radius r2 around the same centre
-    ox, oy, _ = poly.kernel_disk
+_DISK_FIELDS = ("gx", "gy", "inner", "outer", "caps")
+
+
+def _with_disks(poly, **fields):
+    # the same polygon with the named fields of its disk table replaced
+    assert set(fields) <= set(_DISK_FIELDS)
+    table = dict(zip(_DISK_FIELDS, poly.disks)) | fields
     copy = ConvexPolygon(poly.vertices)
-    copy.__dict__["kernel_disk"] = (ox, oy, r2)
+    copy.__dict__["disks"] = tuple(table.values())
     return copy
+
+
+def _depth(poly, x, y):
+    # the least signed distance of (x, y) inside the chord lines, in floats
+    return min((ux * (y - cy) - uy * (x - cx)) / math.hypot(ux, uy)
+               for cx, cy, ux, uy in poly.chords)
 
 
 class TestKernelDisk:
@@ -765,7 +795,7 @@ class TestKernelDisk:
         for n in (12, 100, 2000):
             for radius in (1e-2, 1.0, 1e6):
                 poly = _scaled_convex(n, n + 7, radius)
-                ox, oy, r2 = poly.kernel_disk
+                ox, oy, r2, _, _ = poly.disks
                 assert r2 > 0
                 r = (1 - 1e-9) * math.sqrt(r2)
                 for k in range(64):
@@ -776,14 +806,47 @@ class TestKernelDisk:
                         TrialStats(n, n, None, True)
 
     def test_matches_a_scalar_loop_over_the_chords(self):
+        # the centre is the vertex mean or the box midpoint, whichever lies
+        # deeper inside the chord lines, and the radius is its depth
         for n, seed in [(7, 81), (12, 82), (100, 83)]:
             poly = random_convex(n, seed, radius=40)
             o = poly.centroid()
-            r = min((ux * (o.y - cy) - uy * (o.x - cx)) / math.hypot(ux, uy)
-                    for cx, cy, ux, uy in poly.chords)
-            ox, oy, r2 = poly.kernel_disk
-            assert (ox, oy) == (o.x, o.y)
+            box = bounding_box(poly)
+            mid = ((box.min.x + box.max.x) / 2, (box.min.y + box.max.y) / 2)
+            centre = max((o.x, o.y), mid, key=lambda c: _depth(poly, *c))
+            ox, oy, r2, _, _ = poly.disks
+            assert (ox, oy) == pytest.approx(centre, rel=1e-15, abs=1e-13)
+            r = _depth(poly, ox, oy)
             assert r > 0 and r2 == pytest.approx(r * r, rel=1e-12)
+
+    def test_centre_is_the_deeper_candidate(self):
+        # the vertex mean lies deeper inside the chord lines than the box
+        # midpoint on this 12-gon, and the box midpoint on this 2000-gon
+        for n, mean_deeper in [(12, True), (2000, False)]:
+            poly = random_convex(n, 0, radius=10)
+            o = poly.centroid()
+            box = bounding_box(poly)
+            mid = ((box.min.x + box.max.x) / 2, (box.min.y + box.max.y) / 2)
+            assert (_depth(poly, o.x, o.y) > _depth(poly, *mid)) is mean_deeper
+            gx, gy, inner, _, _ = poly.disks
+            if mean_deeper:
+                assert (gx, gy) == pytest.approx((o.x, o.y), rel=1e-15,
+                                                 abs=1e-13)
+                assert (gx, gy) != mid
+            else:
+                assert (gx, gy) == mid
+            assert inner == pytest.approx(_depth(poly, gx, gy) ** 2,
+                                          rel=1e-12)
+
+    def test_generation_and_validation_build_no_table(self):
+        for n in (3, 4, 12, 2000):
+            poly = random_convex(n, n, radius=10)
+            again = validate_convex(poly.vertices)
+            assert "disks" not in poly.__dict__
+            assert "disks" not in again.__dict__
+            classify_improved(again, poly.vertices[0])
+            assert "disks" in again.__dict__
+            assert "disks" not in poly.__dict__
 
     def test_triangles_squares_and_pentagons_get_an_empty_disk(self):
         # A triangle's chords collapse to a vertex and a square's are its
@@ -794,13 +857,13 @@ class TestKernelDisk:
         polys += [random_convex(n, seed, radius=5)
                   for n in (3, 4, 5) for seed in range(20)]
         for poly in polys:
-            assert poly.kernel_disk[2] == -1.0
+            assert poly.disks[2] == -1.0
 
     def test_raw_constructor_compares_and_hashes_as_before(self):
         verts = random_convex(9, seed=56, radius=3).vertices
         a, b = ConvexPolygon(verts), ConvexPolygon(verts)
         h, r = hash(a), repr(a)
-        assert a.kernel_disk[2] > 0
+        assert a.disks[2] > 0
         assert a == b and b == a
         assert hash(a) == h == hash(b) == hash((verts,))
         assert repr(a) == r == f"ConvexPolygon(vertices={verts!r})"
@@ -813,7 +876,7 @@ class TestKernelDisk:
         for n in (7, 12, _LAZY_DRAWS + 1, 100, 1000):
             for radius in (1e-2, 1.0, 1e6):
                 poly = _scaled_convex(n, n + 90, radius)
-                ox, oy, r2 = poly.kernel_disk
+                ox, oy, r2, _, _ = poly.disks
                 r = math.sqrt(r2)
                 points = list(poly.vertices[:8])
                 for t in rng.uniform(0, 2 * math.pi, 16).tolist():
@@ -828,7 +891,7 @@ class TestKernelDisk:
                         points.append(Point(
                             (a.x + b.x) / 2 + off * (b.y - a.y) / length,
                             (a.y + b.y) / 2 - off * (b.x - a.x) / length))
-                empty = _with_disk(poly, -1.0)
+                empty = _with_disks(poly, inner=-1.0)
                 for policy in (SeededShuffle(5),
                                SeededShuffle(first_edge_seed(n // 3, n))):
                     for p in points:
@@ -850,7 +913,7 @@ class TestKernelDisk:
         poly = ConvexPolygon(tuple(
             Point(radius * v.x + offset, radius * v.y - offset)
             for v in random_convex(n, seed % 10_000).vertices))
-        ox, oy, r2 = poly.kernel_disk
+        ox, oy, r2, _, _ = poly.disks
         if r2 <= 0:
             return
         r = math.sqrt(r2)
@@ -861,7 +924,7 @@ class TestKernelDisk:
         rays = [(float(uy[i] / length[i]), float(-ux[i] / length[i]))]
         rays += [(math.cos(t), math.sin(t)) for t in
                  np.random.default_rng(seed).uniform(0, 2 * math.pi, 8)]
-        empty = _with_disk(poly, -1.0)
+        empty = _with_disks(poly, inner=-1.0)
         policy = SeededShuffle(seed)
         answered = 0
         for ex, ey in rays:
@@ -875,13 +938,6 @@ class TestKernelDisk:
                     got = classify_improved(poly, p, policy)
                     assert got == classify_improved(empty, p, policy)
         assert answered
-
-
-def _without_outer_disk(poly):
-    # the same polygon with an outer disk no point lies beyond
-    copy = ConvexPolygon(poly.vertices)
-    copy.__dict__["outer_disk"] = math.inf
-    return copy
 
 
 def _shifted_convex(n, seed, radius, shift):
@@ -913,14 +969,15 @@ class TestOuterDisk:
         for radius in OUTER_RADII:
             for shift in OUTER_SHIFTS:
                 poly = _shifted_convex(n, n + 40, radius, shift)
-                plain = _without_outer_disk(poly)
+                # no point lies beyond an infinite outer disk; the caps,
+                # whose radius that disk sets, go with it
+                plain = _with_disks(poly, outer=math.inf, caps=None)
                 try:
                     validate_convex(poly.vertices)
                     valid = True
                 except PolygonError:
                     valid = False
-                ox, oy, _ = poly.kernel_disk
-                r2 = poly.outer_disk
+                ox, oy, _, r2, _ = poly.disks
                 r = math.sqrt(r2)
                 rays = [(math.cos(t), math.sin(t))
                         for t in np.linspace(0, 2 * math.pi, 64, False)]
@@ -951,8 +1008,7 @@ class TestOuterDisk:
             for radius in OUTER_RADII:
                 for shift in OUTER_SHIFTS:
                     poly = _shifted_convex(n, n + 50, radius, shift)
-                    ox, oy, _ = poly.kernel_disk
-                    r2 = poly.outer_disk
+                    ox, oy, _, r2, _ = poly.disks
                     v = poly.vertices
                     points = list(v)
                     for a, b in zip(v, v[1:] + v[:1]):
@@ -967,15 +1023,17 @@ class TestOuterDisk:
                         assert dx * dx + dy * dy < r2, (n, radius, shift, p)
 
     def test_built_on_first_use_by_a_query(self):
+        # the whole table, the outer disk included, is built at the first
+        # query, even one the inner disk answers
         poly = random_convex(12, seed=57, radius=5)
-        assert "outer_disk" not in poly.__dict__
-        assert "outer_disk" not in validate_convex(poly.vertices).__dict__
-        ox, oy, _ = poly.kernel_disk
-        classify_improved(poly, Point(ox, oy))
-        assert "outer_disk" not in poly.__dict__
+        assert "disks" not in poly.__dict__
+        assert "disks" not in validate_convex(poly.vertices).__dict__
+        o = poly.centroid()
+        classify_improved(poly, o)
+        ox, oy, inner, outer, _ = poly.__dict__["disks"]
+        assert 0.0 < inner < outer < 400.0
         verdict, _ = classify_improved(poly, Point(ox + 20.0, oy))
         assert verdict is Classification.OUTSIDE
-        assert 0.0 < poly.__dict__["outer_disk"] < 400.0
 
 
 class TestClassifyRaycast:
@@ -1288,7 +1346,7 @@ class TestFarPoint:
                 monkeypatch.setattr(classify_module, name, wrapped)
         for n in self.SIZES:
             poly = random_convex(n, seed=n)
-            ox, oy, _ = poly.kernel_disk
+            ox, oy = poly.disks[:2]
             v = poly.vertices
             # 2 EPS inside an edge midpoint only 3 edges admit, so at
             # n = 64 and 2000 the queries mostly get past the lazy draws

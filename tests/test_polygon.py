@@ -492,6 +492,26 @@ class TestChordTable:
                 x0, y0, y1, x1 - x0, y1 - y0, abs(x1 - x0) + abs(y1 - y0))
             assert (sx[k], sy[k]) == (x1 - o.x, y1 - o.y)
 
+    @pytest.mark.parametrize("n", [3, 4, _VECTOR_MIN - 1, _VECTOR_MIN, 2000])
+    def test_columns_match_an_array_build(self, n):
+        # each column holds the same bits as one built through np.array
+        poly = random_convex(n, seed=n + 57, radius=10)
+        v = np.array(poly.vertices, dtype=np.float64)
+        a = np.roll(v, 1, axis=0)
+        ux, uy = v[:, 0] - a[:, 0], v[:, 1] - a[:, 1]
+        builds = [
+            (poly.ring_columns, (a[:, 0], a[:, 1], v[:, 1], ux, uy,
+                                 np.abs(ux) + np.abs(uy))),
+            (poly.spoke_columns, (v[:, 0] - v[0, 0], v[:, 1] - v[0, 1])),
+            (poly.chord_columns,
+             tuple(np.array(poly.chords, dtype=np.float64).T))]
+        for got, want in builds:
+            assert len(got) == len(want)
+            for column, old in zip(got, want):
+                assert column.dtype == np.float64 and column.shape == (n,)
+                assert column.flags.c_contiguous
+                assert column.tobytes() == old.tobytes()
+
 
 def _hull(points):
     # the convex hull of (x, y) pairs, counter-clockwise, with no collinear
@@ -513,12 +533,12 @@ def _hull(points):
 
 def _cap_probes(poly, rng):
     # +-{0.5, 1, 2, 5, 10} EPS and +-1e-6 R off the midpoints and start
-    # vertices of 12 edges, and points between the kernel disk and the
+    # vertices of 12 edges, and points between the inner disk and the
     # outer disk
     v = poly.vertices
     n = len(v)
-    ox, oy, r2 = poly.kernel_disk
-    outer = math.sqrt(poly.outer_disk)
+    ox, oy, r2, outer, _ = poly.disks
+    outer = math.sqrt(outer)
     offs = [s * f * EPS for f in (0.5, 1, 2, 5, 10) for s in (1, -1)]
     offs += [1e-6 * outer, -1e-6 * outer]
     points = []
@@ -566,7 +586,7 @@ class TestChordCaps:
                     polys.append(ConvexPolygon(tuple(
                         Point(radius * x + shift, radius * y + shift)
                         for x, y in unit)))
-        assert all(p.chord_caps is not None for p in polys)
+        assert all(p.disks[4] is not None for p in polys)
         located = self._same_as_mask(polys, rng, monkeypatch)
         assert located > len(polys) * 100
 
@@ -592,20 +612,20 @@ class TestChordCaps:
             return _admission_mask(poly, px, py)
 
         monkeypatch.setattr(polygon, "_admission_mask", counted)
-        # a circular sector: the chord at its apex has the box centre on
-        # its edge side, so the polygon has no table
+        # a circular sector: the chord at its apex has both candidate
+        # centres on its edge side, so the polygon has no caps
         sector = validate_convex([(0.0, 0.0)] + [
             (math.cos(t), math.sin(t)) for t in np.linspace(-0.1, 0.1, 19)])
-        assert sector.chord_caps is None
-        # a point three radii out lies outside the caps' disk
+        assert sector.disks[4] is None
+        # a point three radii out lies beyond the outer disk
         ring = random_convex(100, seed=93, radius=10)
-        assert ring.chord_caps is not None
+        assert ring.disks[4] is not None
         # 2 EPS inside a long side of a 1:100 ellipse, about half of the
         # 200 chords' caps face the point
         ellipse = validate_convex([
             (math.cos(2 * math.pi * k / 200),
              0.01 * math.sin(2 * math.pi * k / 200)) for k in range(200)])
-        assert ellipse.chord_caps[3] > 1.5
+        assert ellipse.disks[4][0] > 1.5
         v = ellipse.vertices
         cases = [(sector, Point(0.9, 0.0)), (ring, Point(30.0, 0.0)),
                  (ellipse, Point((v[50].x + v[51].x) / 2,
@@ -626,12 +646,43 @@ class TestChordCaps:
     def test_built_on_first_use_only(self):
         poly = random_convex(100, seed=94, radius=10)
         again = validate_convex(poly.vertices)
-        assert "chord_caps" not in poly.__dict__
-        assert "chord_caps" not in again.__dict__
-        gx, gy, r2, width, theta, edge = poly.chord_caps
+        assert "disks" not in poly.__dict__
+        assert "disks" not in again.__dict__
+        width, theta, edge = poly.disks[4]
         assert sorted(edge) == list(range(100))
         assert list(theta) == sorted(theta)
         assert 0 < width < math.pi / 2
+
+
+    def test_points_within_the_outer_disk_take_the_caps(self, monkeypatch):
+        # the caps answer every point up to the outer disk's last ulp, with
+        # the mask's edges, and the mask answers past it
+        calls = []
+
+        def counted(poly, px, py):
+            calls.append(poly.n)
+            return _admission_mask(poly, px, py)
+
+        monkeypatch.setattr(polygon, "_admission_mask", counted)
+        ring = random_convex(100, seed=95, radius=10)
+        gx, gy, _, outer, caps = ring.disks
+        assert caps is not None
+        r = math.sqrt(outer)
+        took = {True: 0, False: 0}
+        for t in np.linspace(0, 2 * math.pi, 32, endpoint=False).tolist():
+            for j in range(-4, 5):
+                f = r * (1 + j * 2.0**-52)
+                px, py = gx + f * math.cos(t), gy + f * math.sin(t)
+                dx, dy = px - gx, py - gy
+                within = dx * dx + dy * dy <= outer
+                del calls[:]
+                got = _admitting_edges(ring, px, py).tolist()
+                assert calls == ([] if within else [100]), (t, j)
+                assert got == _admission_mask(ring, px, py).nonzero()[0] \
+                    .tolist()
+                assert got
+                took[within] += 1
+        assert took[True] > 0 and took[False] > 0
 
 
 class TestBoundaryScan:
