@@ -14,7 +14,8 @@ polygon carries one certified table about one centre,
 ``ConvexPolygon.disks``: an inner disk that answers deep points INSIDE, an
 outer disk beyond which the admitting edge answers OUTSIDE without its quad
 scan, and chord caps through which a query that gets past its first trials
-finds the edges that admit it (``polygon._admitting_edges``). Where the
+finds the edges that admit it (``polygon._admitting_edges``), or, on a large
+polygon, finds them before its trials (``polygon._cap_admitting``). Where the
 caps cannot answer it tests every edge at once; ``sigma`` keeps that
 exhaustive test, the reference count.
 
@@ -46,6 +47,7 @@ from .polygon import (
     Quad,
     _admitting_edges,
     _boundary_scan,
+    _cap_admitting,
     _fan_wedge,
 )
 
@@ -56,18 +58,23 @@ DEFAULT_SEED = 1729
 class SeededShuffle:
     """Visit edges in a seed-determined random permutation.
 
-    The policy carries its seed mixed into generator state: ``state`` is
-    computed once, when the policy is built, and every query under the
-    policy starts its draws from it. So build a policy once and reuse it
+    The policy carries its seed mixed into generator state, computed once,
+    when the policy is built: every query under the policy starts its draws
+    from ``state``, and a query that ranks the rest of the order seeds its
+    key generator with ``pcg_state``, the 128-bit PCG64 state
+    ``(state << 64) | _mix64(state)``. So build a policy once and reuse it
     across queries. Equality, hashing and repr see only ``seed``. A seed
     that is not an integer raises TypeError here, not at the first query.
     """
 
     seed: int
     state: int = field(init=False, repr=False, compare=False)
+    pcg_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state", _mix64(self.seed & _MASK64))
+        state = _mix64(self.seed & _MASK64)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "pcg_state", (state << 64) | _mix64(state))
 
 
 class TrialStats(NamedTuple):
@@ -99,13 +106,23 @@ _LCG_INC = 1442695040888963407
 # caps or the vectorised mask (and, if an edge admits, ranks the first
 # admitting edge among the rest of the order by uniform keys).
 # ``edge_order`` draws the same positions in a loop of its own, the
-# reference the query's inline draws are tested against. Exterior and
-# near-boundary queries admit within a few trials and rarely get past
-# them. Fewer trials do not pay: at 8, the queries that admit at trials
+# reference the query's inline draws are tested against. Exterior queries
+# admit within a few trials, and so do most near-boundary queries of small
+# polygons. Fewer trials do not pay: at 8, the queries that admit at trials
 # 9-16 also paid for the vectorised step, and exterior p99 rose 1.8-1.9x.
 # Points deep inside, where no edge admits, skip the trials instead through
 # the inner disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
+# From this many edges on, a point within the outer disk finds its
+# admitting edges through its cap window before the draws, and the draws
+# test membership in that set instead of chords. The window costs about six
+# chord tests, and pays once most such queries get past the draws: the
+# about 3 edges that admit a point near the boundary are all missed by 16
+# draws with probability (1 - 3 / N)**16, 0.59 at N = 100 and 0.69 at 128.
+# Near-boundary probes with the window first took 1.02, 0.99, 0.965, 0.96
+# and 0.93 times as long as with it after the draws at N = 64, 100, 128,
+# 256 and 2000 (medians of 21 interleaved passes).
+_WINDOW_MIN = 8 * _LAZY_DRAWS
 
 _tls = threading.local()
 # Builds a TrialStats from one tuple without NamedTuple's Python-level
@@ -125,35 +142,53 @@ def _mix64(x: int) -> int:
 _DEFAULT_POLICY = SeededShuffle(DEFAULT_SEED)
 
 
-def _edge_keys(state: int, n: int) -> np.ndarray:
-    # n uniform keys in [0, 1) from a thread-local PCG64 seeded with the
-    # mixed seed ``state``. Independent uniform keys sort into a uniform
+def _edge_keys(pcg_state: int, n: int) -> np.ndarray:
+    # n uniform keys in [0, 1) from a thread-local PCG64 set to the 128-bit
+    # ``pcg_state`` of a policy, which mixed it when it was built, so a
+    # query mixes nothing here. Independent uniform keys sort into a uniform
     # permutation (Knuth, TAOCP vol. 2, 3.4.2), so the undrawn edges in
     # increasing (key, index) order complete the lazy prefix. Resetting the
     # generator's state is a pure function of the seed and several
-    # microseconds cheaper than fresh SeedSequence entropy mixing.
-    gen = getattr(_tls, "gen", None)
-    if gen is None:
-        _tls.bg = np.random.PCG64(0)
-        _tls.gen = gen = np.random.Generator(_tls.bg)
-    _tls.bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": (state << 64) | _mix64(state), "inc": _PCG_INC},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    # microseconds cheaper than fresh SeedSequence entropy mixing; each
+    # thread keeps one state dict and rewrites only its state entry.
+    pcg = getattr(_tls, "pcg", None)
+    if pcg is None:
+        bg = np.random.PCG64(0)
+        inner = {"state": 0, "inc": _PCG_INC}
+        _tls.pcg = pcg = (bg, np.random.Generator(bg), inner, {
+            "bit_generator": "PCG64", "state": inner, "has_uint32": 0,
+            "uinteger": 0})
+    bg, gen, inner, outer = pcg
+    inner["state"] = pcg_state
+    bg.state = outer
     return gen.random(n)
 
 
-def _rest_keys(n: int, drawn: list[int], state: int) -> np.ndarray:
+def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
     # One key per edge: the edges not in ``drawn``, by increasing (key,
     # index), are the rest of the seeded order. The drawn edges get +inf,
     # so they sort last and count toward no rank. Call it only when
     # n > _LAZY_DRAWS and after the whole prefix has been drawn.
-    keys = _edge_keys(state, n)
-    for e in drawn:  # half the cost of keys[drawn] = np.inf
-        keys[e] = np.inf
+    keys = _edge_keys(pcg_state, n)
+    keys.put(drawn, np.inf)
     return keys
+
+
+def _rank_step(n: int, drawn: list[int], admitting, pcg_state: int
+               ) -> tuple[int, int]:
+    # (edge, tried) for a query whose lazy prefix ``drawn`` admitted
+    # nothing: the first of ``admitting`` (edge indices in increasing
+    # order, not empty) in the rest of the order, and its position in the
+    # whole order. It has the least (key, index); argmin breaks ties toward
+    # the lower index. Its rank counts the undrawn edges before it in that
+    # order.
+    keys = _rest_keys(n, drawn, pcg_state)
+    ka = keys[admitting]
+    k = int(ka.argmin())
+    edge, key = int(admitting[k]), ka[k]
+    rank = int(np.count_nonzero(keys[:edge] <= key)
+               + np.count_nonzero(keys[edge:] < key))
+    return edge, _LAZY_DRAWS + rank + 1
 
 
 def edge_order(policy: SeededShuffle, n: int) -> list[int]:
@@ -179,7 +214,7 @@ def edge_order(policy: SeededShuffle, n: int) -> list[int]:
         moved[j] = get(i, i)
     if n <= _LAZY_DRAWS:
         return drawn
-    keys = _rest_keys(n, drawn, base)
+    keys = _rest_keys(n, drawn, (base << 64) | _mix64(base))
     return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
 
 
@@ -250,9 +285,20 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     plus the few chords whose certified cap faces the point, or, where the
     caps cannot answer, by testing every edge in one vectorised step; both
     give the same set. Only when some edge admits does it draw the keys
-    that rank the rest of the order (see ``_rest_keys``), and the first
+    that rank the rest of the order (see ``_rank_step``), and the first
     admitting edge in it is the admitting edge with the least (key, index),
     found without building the order.
+
+    On a polygon of at least ``_WINDOW_MIN`` edges, where most
+    near-boundary queries get past the draws, a point within the outer disk
+    takes that step first, through the caps alone
+    (``polygon._cap_admitting``): the chords of its cap window give the
+    whole admitting set, and each draw then asks whether its edge is in
+    that set instead of testing its chord, with the same answer. An empty
+    set answers INSIDE at once, with no draw. The draws, the rank step and
+    every answer are those of the trials-first order. A window of more than
+    ``polygon._VECTOR_MIN`` chords, a polygon without caps and a point
+    beyond the outer disk take the trials first.
 
     ``poly.disks``, built at the polygon's first query, holds the centre g,
     the inner and outer squared radii and the caps; the query computes its
@@ -285,19 +331,38 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         return Classification.OUTSIDE, TrialStats(0, 0, None, False)
     verts = poly.vertices
     n = len(verts)
-    gx, gy, inner, outer, _ = poly.disks
+    gx, gy, inner, outer, caps = poly.disks
     dx, dy = px - gx, py - gy
     d2 = dx * dx + dy * dy
     if d2 < inner:
         return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
+    drawn: list[int] = []
+    # ``edge_order``'s draws from the mixed seed, one per trial
+    state = policy.state
+    moved: dict[int, int] = {}
+    get = moved.get
+    if d2 <= outer and n >= _WINDOW_MIN and caps is not None:
+        # Every edge that admits the point is in its cap window, so the
+        # window's chord tests give the whole admitting set, and a drawn
+        # edge admits iff it is in that set.
+        admitting = _cap_admitting(poly, px, py, caps, dx, dy)
+        if admitting is not None:
+            if not admitting:
+                return Classification.INSIDE, _new(TrialStats,
+                                                   (n, n, None, True))
+            for i in range(_LAZY_DRAWS):
+                state = (state * _LCG_MUL + _LCG_INC) & _MASK64
+                j = i + ((state * (n - i)) >> 64)
+                e = get(j, j)
+                if e in admitting:
+                    return _admitted(verts, e, i + 1, px, py)
+                moved[j] = get(i, i)
+                drawn.append(e)
+            edge, tried = _rank_step(n, drawn, admitting, policy.pcg_state)
+            return _admitted(verts, edge, tried, px, py)
     chords = poly.chords
     neg = -EPS
     lazy = min(n, _LAZY_DRAWS)
-    drawn: list[int] = []
-    # ``edge_order``'s draws from the mixed seed, one per trial
-    base = state = policy.state
-    moved: dict[int, int] = {}
-    get = moved.get
     for i in range(lazy):
         state = (state * _LCG_MUL + _LCG_INC) & _MASK64
         j = i + ((state * (n - i)) >> 64)
@@ -318,16 +383,7 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # keys.
         admitting = _admitting_edges(poly, px, py)
         if len(admitting):
-            # The first admitting edge in the rest has the least (key,
-            # index); argmin breaks ties toward the lower index. Its rank
-            # counts the undrawn edges before it in that order.
-            keys = _rest_keys(n, drawn, base)
-            ka = keys[admitting]
-            k = int(ka.argmin())
-            edge, key = int(admitting[k]), ka[k]
-            rank = int(np.count_nonzero(keys[:edge] <= key)
-                       + np.count_nonzero(keys[edge:] < key))
-            tried = lazy + rank + 1
+            edge, tried = _rank_step(n, drawn, admitting, policy.pcg_state)
             if d2 > outer:
                 return Classification.OUTSIDE, _new(
                     TrialStats, (tried, tried + 4, edge, False))

@@ -545,43 +545,54 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
 
 def _admitting_edges(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     """The edges that admit ``(px, py)``, in increasing order: the index
-    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through the
-    caps of ``ConvexPolygon.disks`` in O(log N + window) when the point is
-    not beyond the outer disk. Bisection finds the window of chords whose
-    normal angle lies within the caps' ``width`` of the point's angle about
-    the centre; a window past -pi or +pi goes on at the other end of
-    ``theta``. The table's proof puts every admitting chord in the window,
-    and each chord in it runs the scalar test of ``chords``, bit for bit the
-    mask's entry. Testing a chord costs about as much as testing whether its
-    own cap holds the angle, so the window is not narrowed further. The mask
+    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through
+    ``_cap_admitting`` when the point is not beyond the outer disk. The mask
     answers when the polygon has no caps, the point lies beyond the outer
-    disk, or the window holds more than ``_VECTOR_MIN`` chords, where the
-    scalar loop stops paying. As in ``_admission_mask``, the point lies
-    within ``geom._FAR``."""
+    disk, or the window holds more than ``_VECTOR_MIN`` chords. As in
+    ``_admission_mask``, the point lies within ``geom._FAR``."""
     gx, gy, _, outer, caps = poly.disks
     if caps is not None:
         dx, dy = px - gx, py - gy
         if dx * dx + dy * dy <= outer:
-            width, theta, edge = caps
-            phi = math.atan2(dy, dx)
-            lo, hi = phi - width, phi + width
-            ks = range(bisect_left(theta, lo), bisect_right(theta, hi))
-            if lo < -math.pi:
-                ks = [*ks, *range(bisect_left(theta, lo + math.tau),
-                                  len(theta))]
-            elif hi > math.pi:
-                ks = [*range(bisect_right(theta, hi - math.tau)), *ks]
-            if len(ks) <= _VECTOR_MIN:
-                chords = poly.chords
-                found = []
-                for k in ks:
-                    e = edge[k]
-                    cx, cy, ux, uy = chords[e]
-                    if ux * (py - cy) - uy * (px - cx) < -EPS:
-                        found.append(e)
-                found.sort()
+            found = _cap_admitting(poly, px, py, caps, dx, dy)
+            if found is not None:
                 return np.array(found, np.intp)
     return _admission_mask(poly, px, py).nonzero()[0]
+
+
+def _cap_admitting(poly: ConvexPolygon, px: float, py: float, caps: tuple,
+                   dx: float, dy: float) -> list[int] | None:
+    """The edges that admit ``(px, py)``, in increasing order, found in
+    O(log N + window) through ``caps``, the caps of ``poly.disks``, for a
+    point that is not beyond the outer disk; ``dx`` and ``dy`` are its
+    offset from the table's centre g. Bisection finds the window of chords
+    whose normal angle lies within the caps' ``width`` of the point's angle
+    about g; a window past -pi or +pi goes on at the other end of
+    ``theta``. The table's proof puts every admitting chord in the window,
+    and each chord in it runs the scalar test of ``chords``, bit for bit the
+    entry of ``_admission_mask``. Testing a chord costs about as much as
+    testing whether its own cap holds the angle, so the window is not
+    narrowed further. None when the window holds more than ``_VECTOR_MIN``
+    chords (thin rings), where the scalar loop stops paying."""
+    width, theta, edge = caps
+    phi = math.atan2(dy, dx)
+    lo, hi = phi - width, phi + width
+    ks = range(bisect_left(theta, lo), bisect_right(theta, hi))
+    if lo < -math.pi:
+        ks = [*ks, *range(bisect_left(theta, lo + math.tau), len(theta))]
+    elif hi > math.pi:
+        ks = [*range(bisect_right(theta, hi - math.tau)), *ks]
+    if len(ks) > _VECTOR_MIN:
+        return None
+    chords = poly.chords
+    found = []
+    for k in ks:
+        e = edge[k]
+        cx, cy, ux, uy = chords[e]
+        if ux * (py - cy) - uy * (px - cx) < -EPS:
+            found.append(e)
+    found.sort()
+    return found
 
 
 def _boundary_scan(poly: ConvexPolygon, px: float, py: float) -> int:

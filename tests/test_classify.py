@@ -141,29 +141,34 @@ class TestSeededShuffle:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_state_is_the_mixed_seed(self, seed):
-        assert SeededShuffle(seed).state == classify_module._mix64(
-            seed & _MASK64)
+        mix = classify_module._mix64
+        policy = SeededShuffle(seed)
+        assert policy.state == mix(seed & _MASK64)
+        assert policy.pcg_state == (policy.state << 64) | mix(policy.state)
+        assert 0 <= policy.pcg_state < 2**128
 
     def test_value_semantics_see_only_the_seed(self):
-        # 5 and 2**64 + 5 mix to the same state, yet differ as values
+        # 5 and 2**64 + 5 mix to the same states, yet differ as values
         a, b, c = SeededShuffle(5), SeededShuffle(5), SeededShuffle(2**64 + 5)
-        assert a.state == c.state
+        assert (a.state, a.pcg_state) == (c.state, c.pcg_state)
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert repr(a) == "SeededShuffle(seed=5)"
-        object.__setattr__(b, "state", 0)
-        assert a == b and hash(a) == hash(b)
-        assert repr(b) == "SeededShuffle(seed=5)"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            a.state = 0
+        for name in ("state", "pcg_state"):
+            object.__setattr__(b, name, 0)
+            assert a == b and hash(a) == hash(b)
+            assert repr(b) == "SeededShuffle(seed=5)"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, 0)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_replace_and_pickle_carry_the_right_state(self, seed):
+        want = SeededShuffle(seed)
         policy = dataclasses.replace(SeededShuffle(7), seed=seed)
-        assert policy.state == SeededShuffle(seed).state
-        back = pickle.loads(pickle.dumps(SeededShuffle(seed)))
-        assert back == SeededShuffle(seed)
-        assert back.state == SeededShuffle(seed).state
+        back = pickle.loads(pickle.dumps(want))
+        assert back == want
+        for got in (policy, back):
+            assert (got.state, got.pcg_state) == (want.state, want.pcg_state)
 
     @pytest.mark.parametrize("seed", [1.0, 2.5, "3", None, (1,)])
     def test_non_integer_seed_rejected_at_construction(self, seed):
@@ -557,18 +562,16 @@ class TestClassifyImproved:
                 assert stats == TrialStats(n, n, None, True)
 
     def test_no_query_mixes_its_seed(self, monkeypatch):
-        # a policy mixes its seed once, when it is built; queries start
-        # from policy.state. Far exterior queries of a 2000-gon admit at a
-        # trial or after the rank step, and a point 2 EPS inside an edge
-        # midpoint, admitted by 3 edges, mostly gets past the lazy draws.
-        # The rank step's key generator mixes the mixed state, never a seed.
-        mix = classify_module._mix64
+        # a policy mixes its seed and its key generator's state once, when
+        # it is built; queries start from policy.state and seed the rank
+        # step's keys with policy.pcg_state. Far exterior queries of a
+        # 2000-gon admit at a trial or after the rank step, and a point
+        # 2 EPS inside an edge midpoint, admitted by 3 edges, mostly gets
+        # past the lazy draws. No query calls _mix64 at all.
         policies = [SeededShuffle(s) for s in range(8)]
-        seeds = {policy.seed for policy in policies}
 
         def guarded(x):
-            assert x not in seeds, "a query mixed its policy's seed"
-            return mix(x)
+            raise AssertionError("a query mixed a state")
 
         n = 2000
         poly = regular_ngon(n)
@@ -710,6 +713,32 @@ def _digest_queries():
                 yield poly, p, policy
 
 
+def _window_digest_queries():
+    # (poly, p, policy) of a fixed seeded batch for the cap window's path:
+    # points in and past the band off edge midpoints of a 1000-gon and a
+    # 2000-gon, which twelve policies admit at a draw or after the rank
+    # step, and points near the corners of the chord lines of a regular
+    # 1000-gon, outside its inner disk, which no edge admits
+    for n, seed in [(1000, 87), (2000, 88)]:
+        poly = random_convex(n, seed, radius=10)
+        rng = np.random.default_rng(seed)
+        v = poly.vertices
+        points = [off_midpoint(v[k], v[(k + 1) % n], off)
+                  for k in rng.integers(0, n, 6).tolist()
+                  for off in (2 * EPS, -2 * EPS, 1e-5, -1e-5)]
+        for p in points:
+            for s in range(12):
+                yield poly, p, SeededShuffle(s)
+    poly = regular_ngon(1000)
+    # the chords lie cos(3 pi / n) from the centre, and meet in the
+    # directions of the vertices, cos(3 pi / n) / cos(pi / n) out
+    h, c = math.cos(3 * math.pi / 1000), math.cos(math.pi / 1000)
+    f = h * (1 + 0.5 * (1 / c - 1))
+    for k in range(0, 1000, 97):
+        t = 2 * math.pi * k / 1000
+        yield poly, Point(f * math.cos(t), f * math.sin(t)), SeededShuffle(k)
+
+
 def _return_path(poly, p, st):
     # which return of classify_improved gave the counters ``st``
     if st.edges_tried == 0:
@@ -744,9 +773,50 @@ class TestPinnedAnswers:
             ("trial outer disk", True)}
         assert digest.hexdigest() == self.DIGEST
 
+    # the same over _window_digest_queries, taken before the cap window
+    # answered any of them
+    WINDOW_DIGEST = (
+        "6091158ef31f83a3e4514b370087f0a75aedf6d302e33990bb76d1d81290331c")
+
+    @staticmethod
+    def _window_returns(queries, monkeypatch):
+        # the sha256 of the batch's answers, and the returns its queries
+        # reached through the cap window, which only sizes from
+        # _WINDOW_MIN on take
+        digest = hashlib.sha256()
+        windows = []
+        returns = set()
+
+        def window(*args, real=classify_module._cap_admitting):
+            windows.append(real(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(classify_module, "_cap_admitting", window)
+        for poly, p, policy in queries:
+            del windows[:]
+            verdict, st = classify_improved(poly, p, policy)
+            digest.update(repr((verdict.value, *st)).encode())
+            if windows and windows[0] is not None:
+                assert poly.n >= classify_module._WINDOW_MIN
+                returns.add("sigma 0" if st.exhausted_all else "rank"
+                            if st.edges_tried > _LAZY_DRAWS else "trial")
+        return digest.hexdigest(), returns
+
+    def test_window_path_returns_are_pinned(self, monkeypatch):
+        # DIGEST's 1000-gon queries take the cap window to the rank step
+        # only; this batch admits at a draw, after the rank step, and not
+        # at all
+        digest, returns = self._window_returns(_digest_queries(), monkeypatch)
+        assert digest == self.DIGEST
+        assert "rank" in returns
+        digest, returns = self._window_returns(_window_digest_queries(),
+                                               monkeypatch)
+        assert digest == self.WINDOW_DIGEST
+        assert returns == {"trial", "rank", "sigma 0"}
+
     def test_rest_step_takes_the_caps_and_the_mask(self, monkeypatch):
-        # the pinned batch ranks the rest of the order both with admitting
-        # edges found through the chord caps and with those of the mask
+        # past the lazy draws the pinned batch finds admitting edges both
+        # through the chord caps and through the mask
         calls = {"rest": 0, "mask": 0}
 
         def count(name, real):
@@ -770,6 +840,155 @@ def _scaled_convex(n, seed, radius):
     # compares a raw cross product with eps), so scale a unit polygon
     return ConvexPolygon(tuple(Point(radius * v.x, radius * v.y)
                                for v in random_convex(n, seed).vertices))
+
+
+def _reference_answer(poly, p, order):
+    # (verdict, TrialStats) of trying the edges in ``order`` one at a time
+    # with the mask's test, then scanning the first admitting edge's quad
+    n = poly.n
+    hits = polygon_module._admission_mask(poly, p.x, p.y)[order]
+    if not hits.any():
+        return Classification.INSIDE, TrialStats(n, n, None, True)
+    t = int(hits.argmax()) + 1
+    e = int(order[t - 1])
+    return (classify_quad(adjacent_quad(poly, e), p, n),
+            TrialStats(t, t + 4, e, False))
+
+
+def _window_probes(poly, rng):
+    # points whose admitting edges the cap window can find: on, and
+    # +-{0.5, 1, 2, 5, 10} EPS and +-1e-6 R off, edge points and vertices,
+    # of random edges and of the edges facing -pi or +pi from g, where the
+    # window wraps; points at angles within the caps' width of +-pi; points
+    # just outside the inner disk, where sigma is mostly 0; and points
+    # within 4 ulp of the outer disk's radius, on both sides of it
+    v = poly.vertices
+    n = len(v)
+    gx, gy, inner, outer, (width, _, _) = poly.disks
+    ri, ro = math.sqrt(max(inner, 0.0)), math.sqrt(outer)
+    offs = [0.0] + [s * f * EPS for f in (0.5, 1, 2, 5, 10) for s in (1, -1)]
+    offs += [1e-6 * ro, -1e-6 * ro]
+    wrap = [k for k in range(n)
+            if abs(abs(math.atan2((v[k].y + v[(k + 1) % n].y) / 2 - gy,
+                                  (v[k].x + v[(k + 1) % n].x) / 2 - gx))
+                   - math.pi) < width]
+    edges = rng.integers(0, n, 8).tolist() + wrap[:4] + wrap[-4:]
+    points = []
+    for k in edges:
+        a, b = v[k], v[(k + 1) % n]
+        length = math.hypot(b.x - a.x, b.y - a.y)
+        nx, ny = (b.y - a.y) / length, -(b.x - a.x) / length
+        t = rng.uniform(0.25, 0.75)
+        for x, y in ((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)),
+                     (a.x, a.y)):
+            points += [Point(x + d * nx, y + d * ny) for d in offs]
+    for f in rng.uniform(-1, 1, 12).tolist():
+        theta = math.pi + f * width
+        for r in (ri + rng.uniform() * (ro - ri), 1.001 * ri):
+            points.append(Point(gx + r * math.cos(theta),
+                                gy + r * math.sin(theta)))
+    for theta in rng.uniform(0, 2 * math.pi, 12).tolist():
+        r = 1.001 * ri
+        points.append(Point(gx + r * math.cos(theta),
+                            gy + r * math.sin(theta)))
+    for theta in rng.uniform(0, 2 * math.pi, 6).tolist():
+        points += [Point(gx + ro * (1 + j * 2.0**-52) * math.cos(theta),
+                         gy + ro * (1 + j * 2.0**-52) * math.sin(theta))
+                   for j in range(-4, 5)]
+    return points
+
+
+class TestCapWindowTrials:
+    # from _WINDOW_MIN edges on, a point within the outer disk finds its
+    # admitting set through its cap window before the draws; every answer
+    # must be that of trying the edge order one edge at a time
+    POLICIES = (0, 5, 21)
+
+    def _check(self, poly, points, monkeypatch):
+        # every answer against the reference; returns the window path's
+        # returns, by kind
+        took = []
+        real = classify_module._cap_admitting
+
+        def spy(*args):
+            found = real(*args)
+            took.append(found)
+            return found
+
+        monkeypatch.setattr(classify_module, "_cap_admitting", spy)
+        kinds = {"sigma 0": 0, "trial": 0, "rank": 0, "trials first": 0}
+        for seed in self.POLICIES:
+            policy = SeededShuffle(seed)
+            order = np.array(edge_order(policy, poly.n))
+            for p in points:
+                del took[:]
+                got = classify_improved(poly, p, policy)
+                assert got == _reference_answer(poly, p, order), (seed, p)
+                _, st = got
+                if not took or took[0] is None:
+                    kinds["trials first"] += 1
+                elif st.exhausted_all:
+                    kinds["sigma 0"] += 1
+                else:
+                    kinds["rank" if st.edges_tried > _LAZY_DRAWS
+                          else "trial"] += 1
+        return kinds
+
+    @pytest.mark.parametrize("n", [classify_module._WINDOW_MIN, 1000, 2000])
+    def test_random_rings_match_the_order(self, n, monkeypatch):
+        # at radius 1e-2 and n >= 1000 every chord test value is below EPS,
+        # so no edge admits any probe there
+        rng = np.random.default_rng(n)
+        kinds = {}
+        for radius in (1e-2, 1.0, 1e6):
+            poly = _scaled_convex(n, n + 11, radius)
+            assert poly.disks[4] is not None
+            for kind, count in self._check(poly, _window_probes(poly, rng),
+                                           monkeypatch).items():
+                kinds[kind] = kinds.get(kind, 0) + count
+        assert min(kinds.values()) > 0, kinds
+
+    def test_regular_ring_corners_have_sigma_zero(self, monkeypatch):
+        # halfway out from the inner disk toward a corner of a regular
+        # 1000-gon no chord admits (see test_sigma_zero_never_builds_the_
+        # bulk_order); the window answers those points with no draw
+        poly = regular_ngon(1000)
+        r = math.sqrt(poly.disks[2])
+        f = r * (1 + 0.5 * (1 / math.cos(math.pi / 1000) - 1))
+        points = [Point(f * math.cos(2 * math.pi * k / 1000),
+                        f * math.sin(2 * math.pi * k / 1000))
+                  for k in range(0, 1000, 37)]
+        assert all(sigma(poly, p) == 0 for p in points)
+        kinds = self._check(poly, points, monkeypatch)
+        assert kinds["sigma 0"] == len(points) * len(self.POLICIES)
+
+    def test_a_wide_window_takes_the_trials_first(self, monkeypatch):
+        # on a 2000-gon on a 1:100 ellipse a window holds about half the
+        # chords, more than _VECTOR_MIN, so the query falls back to the
+        # trials, then the mask
+        n = 2000
+        poly = validate_convex([
+            (10 * math.cos(2 * math.pi * k / n),
+             0.1 * math.sin(2 * math.pi * k / n)) for k in range(n)])
+        assert poly.disks[4] is not None and poly.disks[4][0] > 1.5
+        v = poly.vertices
+        points = [off_midpoint(v[k], v[k + 1], off)
+                  for k in (500, 1500) for off in (2 * EPS, -2 * EPS, -1e-8)]
+        masks = []
+        real = polygon_module._admission_mask
+
+        def counted(poly, px, py):
+            masks.append(1)
+            return real(poly, px, py)
+
+        kinds = self._check(poly, points, monkeypatch)
+        assert kinds == {"sigma 0": 0, "trial": 0, "rank": 0,
+                         "trials first": len(points) * len(self.POLICIES)}
+        monkeypatch.setattr(polygon_module, "_admission_mask", counted)
+        for p in points:
+            _, st = classify_improved(poly, p, SeededShuffle(5))
+            assert st.edges_tried > _LAZY_DRAWS
+        assert len(masks) == len(points)
 
 
 _DISK_FIELDS = ("gx", "gy", "inner", "outer", "caps")
@@ -1334,12 +1553,13 @@ class TestFarPoint:
         seen = []
 
         def spy(name, real):
-            def kernel(poly, px, py):
+            def kernel(poly, px, py, *rest):
                 seen.append((name, max(abs(px), abs(py))))
-                return real(poly, px, py)
+                return real(poly, px, py, *rest)
             return kernel
 
-        for name in ("_admission_mask", "_admitting_edges", "_fan_wedge"):
+        for name in ("_admission_mask", "_admitting_edges", "_cap_admitting",
+                     "_fan_wedge"):
             wrapped = spy(name, getattr(polygon_module, name))
             monkeypatch.setattr(polygon_module, name, wrapped)
             if hasattr(classify_module, name):
@@ -1348,14 +1568,14 @@ class TestFarPoint:
             poly = random_convex(n, seed=n)
             ox, oy = poly.disks[:2]
             v = poly.vertices
-            # 2 EPS inside an edge midpoint only 3 edges admit, so at
-            # n = 64 and 2000 the queries mostly get past the lazy draws
-            # and find them through the chord caps
+            # 2 EPS inside an edge midpoint only 3 edges admit: at n = 64
+            # policy seed 5 gets past the lazy draws and finds them through
+            # _admitting_edges, and at n = 2000 every query finds them
+            # through the cap window before its trials
             near = off_midpoint(v[n // 2], v[n // 2 + 1], -2 * EPS)
             for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy), near):
-                classify_improved(poly, p, SeededShuffle(3))
-                classify_improved(poly, p,
-                                  SeededShuffle(first_edge_seed(1, n)))
+                for seed in (3, first_edge_seed(1, n), 5):
+                    classify_improved(poly, p, SeededShuffle(seed))
                 classify_raycast(poly, p)
                 classify_fan_triangulation(poly, p)
                 oracle_classify(poly, p)
@@ -1368,7 +1588,8 @@ class TestFarPoint:
                         assert p in self.POINTS
         # the spies were reached, by the three near points only
         assert {name for name, _ in seen} == {
-            "_admission_mask", "_admitting_edges", "_fan_wedge"}
+            "_admission_mask", "_admitting_edges", "_cap_admitting",
+            "_fan_wedge"}
         assert max(far for _, far in seen) <= 4.0
 
 
