@@ -13,10 +13,10 @@ takes a tolerance; only the ground truth ``oracle_classify`` does. Each
 polygon carries one certified table about one centre,
 ``ConvexPolygon.disks``: an inner disk that answers deep points INSIDE, an
 outer disk beyond which the admitting edge answers OUTSIDE without its quad
-scan, and chord caps through which a query that gets past its first trials
-finds the edges that admit it (``polygon._admitting_edges``), or, on a large
-polygon, finds them before its trials (``polygon._cap_admitting``). Where the
-caps cannot answer it tests every edge at once; ``sigma`` keeps that
+scan, and chord caps through which a query on a polygon of more than 16
+edges finds the edges that admit it before its trials
+(``polygon._cap_admitting``). Where the caps cannot answer, a query that
+gets past its first trials tests every edge at once; ``sigma`` keeps that
 exhaustive test, the reference count.
 
 Admission rule ("legality"): edge (a, b) with outer neighbors c and d admits
@@ -45,7 +45,7 @@ from .polygon import (
     Classification,
     ConvexPolygon,
     Quad,
-    _admitting_edges,
+    _admission_mask,
     _boundary_scan,
     _cap_admitting,
     _fan_wedge,
@@ -72,9 +72,10 @@ class SeededShuffle:
     pcg_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # frozen: write both derived fields past __setattr__ at once
         state = _mix64(self.seed & _MASK64)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "pcg_state", (state << 64) | _mix64(state))
+        self.__dict__.update(state=state,
+                             pcg_state=(state << 64) | _mix64(state))
 
 
 class TrialStats(NamedTuple):
@@ -102,9 +103,10 @@ _PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, drawing each one in its trial
-# loop, before it finds every admitting edge in one step, through the chord
-# caps or the vectorised mask (and, if an edge admits, ranks the first
-# admitting edge among the rest of the order by uniform keys).
+# loop, before it ranks the first admitting edge among the rest of the
+# order by uniform keys. A polygon with more edges finds the admitting set
+# through the chord caps before the draws, or, where they cannot answer,
+# through the vectorised mask after them.
 # ``edge_order`` draws the same positions in a loop of its own, the
 # reference the query's inline draws are tested against. Exterior queries
 # admit within a few trials, and so do most near-boundary queries of small
@@ -113,16 +115,6 @@ _LCG_INC = 1442695040888963407
 # Points deep inside, where no edge admits, skip the trials instead through
 # the inner disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
-# From this many edges on, a point within the outer disk finds its
-# admitting edges through its cap window before the draws, and the draws
-# test membership in that set instead of chords. The window costs about six
-# chord tests, and pays once most such queries get past the draws: the
-# about 3 edges that admit a point near the boundary are all missed by 16
-# draws with probability (1 - 3 / N)**16, 0.59 at N = 100 and 0.69 at 128.
-# Near-boundary probes with the window first took 1.02, 0.99, 0.965, 0.96
-# and 0.93 times as long as with it after the draws at N = 64, 100, 128,
-# 256 and 2000 (medians of 21 interleaved passes).
-_WINDOW_MIN = 8 * _LAZY_DRAWS
 
 _tls = threading.local()
 # Builds a TrialStats from one tuple without NamedTuple's Python-level
@@ -176,19 +168,18 @@ def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
 
 def _rank_step(n: int, drawn: list[int], admitting, pcg_state: int
                ) -> tuple[int, int]:
-    # (edge, tried) for a query whose lazy prefix ``drawn`` admitted
-    # nothing: the first of ``admitting`` (edge indices in increasing
-    # order, not empty) in the rest of the order, and its position in the
-    # whole order. It has the least (key, index); argmin breaks ties toward
-    # the lower index. Its rank counts the undrawn edges before it in that
-    # order.
+    # (edge, i) for a query whose lazy prefix ``drawn`` admitted nothing:
+    # the first of ``admitting`` (edge indices in increasing order, not
+    # empty) in the rest of the order, and its index in the whole order. It
+    # has the least (key, index); argmin breaks ties toward the lower
+    # index. Its rank counts the undrawn edges before it in that order.
     keys = _rest_keys(n, drawn, pcg_state)
     ka = keys[admitting]
     k = int(ka.argmin())
     edge, key = int(admitting[k]), ka[k]
     rank = int(np.count_nonzero(keys[:edge] <= key)
                + np.count_nonzero(keys[edge:] < key))
-    return edge, _LAZY_DRAWS + rank + 1
+    return edge, _LAZY_DRAWS + rank
 
 
 def edge_order(policy: SeededShuffle, n: int) -> list[int]:
@@ -280,25 +271,20 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     INSIDE with ``exhausted_all`` set. The first ``_LAZY_DRAWS`` edges of
     the order are tried one at a time, each drawn in the trial loop itself
     (the steps of ``edge_order``), so a query that admits early pays only
-    for the edges it tries. A query that gets past them finds every edge
-    that admits it in one step, ``polygon._admitting_edges``: in O(log N)
-    plus the few chords whose certified cap faces the point, or, where the
-    caps cannot answer, by testing every edge in one vectorised step; both
-    give the same set. Only when some edge admits does it draw the keys
-    that rank the rest of the order (see ``_rank_step``), and the first
-    admitting edge in it is the admitting edge with the least (key, index),
-    found without building the order.
-
-    On a polygon of at least ``_WINDOW_MIN`` edges, where most
-    near-boundary queries get past the draws, a point within the outer disk
-    takes that step first, through the caps alone
-    (``polygon._cap_admitting``): the chords of its cap window give the
-    whole admitting set, and each draw then asks whether its edge is in
-    that set instead of testing its chord, with the same answer. An empty
-    set answers INSIDE at once, with no draw. The draws, the rank step and
-    every answer are those of the trials-first order. A window of more than
-    ``polygon._VECTOR_MIN`` chords, a polygon without caps and a point
-    beyond the outer disk take the trials first.
+    for the edges it tries. On a polygon of more than ``_LAZY_DRAWS``
+    edges, a point within the outer disk first finds every edge that admits
+    it through the caps alone (``polygon._cap_admitting``), in O(log N)
+    plus the few chords whose certified cap faces the point; each draw then
+    asks whether its edge is in that set instead of testing its chord, with
+    the same answer, and an empty set answers INSIDE at once, with no draw.
+    Where the caps cannot answer (a polygon without caps, a point beyond
+    the outer disk, a window of more than ``polygon._VECTOR_MIN`` chords),
+    each draw tests its chord, and a query that gets past the draws tests
+    every edge in one vectorised step, which gives the same set. Only when
+    some edge admits does it draw the keys that rank the rest of the order
+    (see ``_rank_step``), and the first admitting edge in it is the
+    admitting edge with the least (key, index), found without building the
+    order.
 
     ``poly.disks``, built at the polygon's first query, holds the centre g,
     the inner and outer squared radii and the caps; the query computes its
@@ -336,59 +322,49 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     d2 = dx * dx + dy * dy
     if d2 < inner:
         return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
+    admitting = None
+    if d2 <= outer and n > _LAZY_DRAWS and caps is not None:
+        # Every edge that admits the point is in its cap window, so the
+        # window's chord tests give the whole admitting set, and a drawn
+        # edge admits iff it is in that set.
+        admitting = _cap_admitting(poly, px, py, caps, dx, dy)
+        if admitting == []:
+            return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
     drawn: list[int] = []
     # ``edge_order``'s draws from the mixed seed, one per trial
     state = policy.state
     moved: dict[int, int] = {}
     get = moved.get
-    if d2 <= outer and n >= _WINDOW_MIN and caps is not None:
-        # Every edge that admits the point is in its cap window, so the
-        # window's chord tests give the whole admitting set, and a drawn
-        # edge admits iff it is in that set.
-        admitting = _cap_admitting(poly, px, py, caps, dx, dy)
-        if admitting is not None:
-            if not admitting:
-                return Classification.INSIDE, _new(TrialStats,
-                                                   (n, n, None, True))
-            for i in range(_LAZY_DRAWS):
-                state = (state * _LCG_MUL + _LCG_INC) & _MASK64
-                j = i + ((state * (n - i)) >> 64)
-                e = get(j, j)
-                if e in admitting:
-                    return _admitted(verts, e, i + 1, px, py)
-                moved[j] = get(i, i)
-                drawn.append(e)
-            edge, tried = _rank_step(n, drawn, admitting, policy.pcg_state)
-            return _admitted(verts, edge, tried, px, py)
     chords = poly.chords
     neg = -EPS
-    lazy = min(n, _LAZY_DRAWS)
-    for i in range(lazy):
+    for i in range(min(n, _LAZY_DRAWS)):
         state = (state * _LCG_MUL + _LCG_INC) & _MASK64
         j = i + ((state * (n - i)) >> 64)
         e = get(j, j)
+        if admitting is None:
+            cx, cy, ux, uy = chords[e]
+            if ux * (py - cy) - uy * (px - cx) < neg:
+                break
+        elif e in admitting:
+            break
         moved[j] = get(i, i)
         drawn.append(e)
-        cx, cy, ux, uy = chords[e]
-        if ux * (py - cy) - uy * (px - cx) < neg:
-            if d2 > outer:
-                # i + 1 trials and the quad's nominal 4 tests, 3 for a
-                # triangle
-                return Classification.OUTSIDE, _new(
-                    TrialStats, (i + 1, i + (5 if n > 3 else 4), e, False))
-            return _admitted(verts, e, i + 1, px, py)
-    if n > _LAZY_DRAWS:
-        # The prefix edges reject in this step too, so any admitting edge
-        # is in the rest; a point that none admits (sigma = 0) draws no
-        # keys.
-        admitting = _admitting_edges(poly, px, py)
-        if len(admitting):
-            edge, tried = _rank_step(n, drawn, admitting, policy.pcg_state)
-            if d2 > outer:
-                return Classification.OUTSIDE, _new(
-                    TrialStats, (tried, tried + 4, edge, False))
-            return _admitted(verts, edge, tried, px, py)
-    return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
+    else:
+        # No draw admits. The drawn edges reject in the mask too, so any
+        # admitting edge is in the rest of the order; a point that none
+        # admits (sigma = 0) draws no keys, nor does a polygon of at most
+        # _LAZY_DRAWS edges, whose draws were its whole order.
+        if admitting is None and n > _LAZY_DRAWS:
+            admitting = _admission_mask(poly, px, py).nonzero()[0]
+        if admitting is None or not len(admitting):
+            return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
+        e, i = _rank_step(n, drawn, admitting, policy.pcg_state)
+    # edge e, at index i of the order, admits the point
+    if d2 > outer:
+        # i + 1 trials and the quad's nominal 4 tests, 3 for a triangle
+        return Classification.OUTSIDE, _new(
+            TrialStats, (i + 1, i + (5 if n > 3 else 4), e, False))
+    return _admitted(verts, e, i + 1, px, py)
 
 
 def classify_raycast(poly: ConvexPolygon, p: Point

@@ -543,23 +543,6 @@ def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
     return ux * (py - cy) - uy * (px - cx) < -EPS
 
 
-def _admitting_edges(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:
-    """The edges that admit ``(px, py)``, in increasing order: the index
-    array ``_admission_mask(poly, px, py).nonzero()[0]``, found through
-    ``_cap_admitting`` when the point is not beyond the outer disk. The mask
-    answers when the polygon has no caps, the point lies beyond the outer
-    disk, or the window holds more than ``_VECTOR_MIN`` chords. As in
-    ``_admission_mask``, the point lies within ``geom._FAR``."""
-    gx, gy, _, outer, caps = poly.disks
-    if caps is not None:
-        dx, dy = px - gx, py - gy
-        if dx * dx + dy * dy <= outer:
-            found = _cap_admitting(poly, px, py, caps, dx, dy)
-            if found is not None:
-                return np.array(found, np.intp)
-    return _admission_mask(poly, px, py).nonzero()[0]
-
-
 def _cap_admitting(poly: ConvexPolygon, px: float, py: float, caps: tuple,
                    dx: float, dy: float) -> list[int] | None:
     """The edges that admit ``(px, py)``, in increasing order, found in
@@ -652,8 +635,8 @@ def sigma(poly: ConvexPolygon, p: Point) -> int:
     """Number of edges that admit ``p`` by the chord-side test, counted by
     exhaustive scan over all N edges with ``_admission_mask``, the reference
     count for the edges that ``classify_improved`` finds through
-    ``_admitting_edges``. It counts rather than classifies, so a point
-    beyond ``geom._FAR`` raises GeometryError."""
+    ``_cap_admitting`` or that mask. It counts rather than classifies, so a
+    point beyond ``geom._FAR`` raises GeometryError."""
     px, py = p
     if not _require_finite(px, py):
         raise GeometryError(f"too far out to count admissions: {p!r}")

@@ -547,7 +547,8 @@ class TestClassifyImproved:
         policy = SeededShuffle(3)
         monkeypatch.setattr(classify_module, "_mix64", fail)
         monkeypatch.setattr(classify_module, "_rest_keys", fail)
-        monkeypatch.setattr(classify_module, "_admitting_edges", fail)
+        monkeypatch.setattr(classify_module, "_cap_admitting", fail)
+        monkeypatch.setattr(classify_module, "_admission_mask", fail)
         monkeypatch.setattr(polygon_module, "_admission_mask", fail)
         for n in (12, _LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
@@ -781,8 +782,8 @@ class TestPinnedAnswers:
     @staticmethod
     def _window_returns(queries, monkeypatch):
         # the sha256 of the batch's answers, and the returns its queries
-        # reached through the cap window, which only sizes from
-        # _WINDOW_MIN on take
+        # reached through the cap window, which only sizes past
+        # _LAZY_DRAWS take
         digest = hashlib.sha256()
         windows = []
         returns = set()
@@ -797,18 +798,18 @@ class TestPinnedAnswers:
             verdict, st = classify_improved(poly, p, policy)
             digest.update(repr((verdict.value, *st)).encode())
             if windows and windows[0] is not None:
-                assert poly.n >= classify_module._WINDOW_MIN
+                assert poly.n > _LAZY_DRAWS
                 returns.add("sigma 0" if st.exhausted_all else "rank"
                             if st.edges_tried > _LAZY_DRAWS else "trial")
         return digest.hexdigest(), returns
 
     def test_window_path_returns_are_pinned(self, monkeypatch):
-        # DIGEST's 1000-gon queries take the cap window to the rank step
-        # only; this batch admits at a draw, after the rank step, and not
-        # at all
+        # DIGEST's 17-, 100- and 1000-gon queries take the cap window to
+        # every return; so does this batch, at a draw, after the rank step,
+        # and not at all
         digest, returns = self._window_returns(_digest_queries(), monkeypatch)
         assert digest == self.DIGEST
-        assert "rank" in returns
+        assert returns == {"trial", "rank", "sigma 0"}
         digest, returns = self._window_returns(_window_digest_queries(),
                                                monkeypatch)
         assert digest == self.WINDOW_DIGEST
@@ -816,23 +817,28 @@ class TestPinnedAnswers:
 
     def test_rest_step_takes_the_caps_and_the_mask(self, monkeypatch):
         # past the lazy draws the pinned batch finds admitting edges both
-        # through the chord caps and through the mask
-        calls = {"rest": 0, "mask": 0}
+        # through the chord caps, before the draws, and through the mask,
+        # after them (points beyond the outer disk), and no query takes both
+        calls = []
 
-        def count(name, real):
-            def kernel(poly, px, py):
-                calls[name] += 1
-                return real(poly, px, py)
+        def spy(name, real):
+            def kernel(*args):
+                found = real(*args)
+                calls.append((name, found is not None))
+                return found
             return kernel
 
-        monkeypatch.setattr(classify_module, "_admitting_edges", count(
-            "rest", classify_module._admitting_edges))
-        monkeypatch.setattr(polygon_module, "_admission_mask", count(
-            "mask", polygon_module._admission_mask))
+        monkeypatch.setattr(classify_module, "_cap_admitting", spy(
+            "caps", classify_module._cap_admitting))
+        monkeypatch.setattr(classify_module, "_admission_mask", spy(
+            "mask", classify_module._admission_mask))
+        rest = set()
         for poly, p, policy in _digest_queries():
-            classify_improved(poly, p, policy)
-        assert calls["mask"] > 0
-        assert calls["rest"] - calls["mask"] > 0
+            del calls[:]
+            _, st = classify_improved(poly, p, policy)
+            if st.edges_tried > _LAZY_DRAWS and not st.exhausted_all:
+                rest.add(tuple(calls))
+        assert rest == {(("caps", True),), (("mask", True),)}
 
 
 def _scaled_convex(n, seed, radius):
@@ -899,7 +905,7 @@ def _window_probes(poly, rng):
 
 
 class TestCapWindowTrials:
-    # from _WINDOW_MIN edges on, a point within the outer disk finds its
+    # past _LAZY_DRAWS edges, a point within the outer disk finds its
     # admitting set through its cap window before the draws; every answer
     # must be that of trying the edge order one edge at a time
     POLICIES = (0, 5, 21)
@@ -934,7 +940,7 @@ class TestCapWindowTrials:
                           else "trial"] += 1
         return kinds
 
-    @pytest.mark.parametrize("n", [classify_module._WINDOW_MIN, 1000, 2000])
+    @pytest.mark.parametrize("n", [17, 100, 128, 1000, 2000])
     def test_random_rings_match_the_order(self, n, monkeypatch):
         # at radius 1e-2 and n >= 1000 every chord test value is below EPS,
         # so no edge admits any probe there
@@ -962,6 +968,47 @@ class TestCapWindowTrials:
         kinds = self._check(poly, points, monkeypatch)
         assert kinds["sigma 0"] == len(points) * len(self.POLICIES)
 
+    def test_the_window_starts_past_the_lazy_draws(self, monkeypatch):
+        # at n = _LAZY_DRAWS no query computes a window; at _LAZY_DRAWS + 1
+        # every query within the outer disk computes it before its first
+        # draw. A window that names only the first edge of the order, an
+        # edge whose chord does not admit the point, makes the first draw
+        # admit, so the draws read the window's set
+        calls = []
+
+        def window(poly, *rest):
+            calls.append(poly.n)
+            return [first]
+
+        monkeypatch.setattr(classify_module, "_cap_admitting", window)
+        for n in (_LAZY_DRAWS, _LAZY_DRAWS + 1):
+            poly = random_convex(n, seed=n, radius=10)
+            gx, gy, _, outer, caps = poly.disks
+            assert caps is not None
+            v = poly.vertices
+            points = [off_midpoint(v[k], v[(k + 1) % n], off)
+                      for k in range(n) for off in (2 * EPS, -2 * EPS)]
+            assert all((p.x - gx) ** 2 + (p.y - gy) ** 2 < 0.99 * outer
+                       for p in points)
+            checked = 0
+            for seed in self.POLICIES:
+                policy = SeededShuffle(seed)
+                order = np.array(edge_order(policy, n))
+                first = int(order[0])
+                for p in points:
+                    if legality_test(poly, first, p):
+                        continue
+                    checked += 1
+                    del calls[:]
+                    got = classify_improved(poly, p, policy)
+                    if n == _LAZY_DRAWS:
+                        assert calls == []
+                        assert got == _reference_answer(poly, p, order)
+                    else:
+                        assert calls == [n]
+                        assert got[1][:3] == (1, 5, first)
+            assert checked > len(points)
+
     def test_a_wide_window_takes_the_trials_first(self, monkeypatch):
         # on a 2000-gon on a 1:100 ellipse a window holds about half the
         # chords, more than _VECTOR_MIN, so the query falls back to the
@@ -975,7 +1022,7 @@ class TestCapWindowTrials:
         points = [off_midpoint(v[k], v[k + 1], off)
                   for k in (500, 1500) for off in (2 * EPS, -2 * EPS, -1e-8)]
         masks = []
-        real = polygon_module._admission_mask
+        real = classify_module._admission_mask
 
         def counted(poly, px, py):
             masks.append(1)
@@ -984,7 +1031,7 @@ class TestCapWindowTrials:
         kinds = self._check(poly, points, monkeypatch)
         assert kinds == {"sigma 0": 0, "trial": 0, "rank": 0,
                          "trials first": len(points) * len(self.POLICIES)}
-        monkeypatch.setattr(polygon_module, "_admission_mask", counted)
+        monkeypatch.setattr(classify_module, "_admission_mask", counted)
         for p in points:
             _, st = classify_improved(poly, p, SeededShuffle(5))
             assert st.edges_tried > _LAZY_DRAWS
@@ -1558,8 +1605,7 @@ class TestFarPoint:
                 return real(poly, px, py, *rest)
             return kernel
 
-        for name in ("_admission_mask", "_admitting_edges", "_cap_admitting",
-                     "_fan_wedge"):
+        for name in ("_admission_mask", "_cap_admitting", "_fan_wedge"):
             wrapped = spy(name, getattr(polygon_module, name))
             monkeypatch.setattr(polygon_module, name, wrapped)
             if hasattr(classify_module, name):
@@ -1569,9 +1615,8 @@ class TestFarPoint:
             ox, oy = poly.disks[:2]
             v = poly.vertices
             # 2 EPS inside an edge midpoint only 3 edges admit: at n = 64
-            # policy seed 5 gets past the lazy draws and finds them through
-            # _admitting_edges, and at n = 2000 every query finds them
-            # through the cap window before its trials
+            # and n = 2000 every query finds them through the cap window
+            # before its trials, and policy seed 5 gets past the lazy draws
             near = off_midpoint(v[n // 2], v[n // 2 + 1], -2 * EPS)
             for p in self.POINTS + (Point(ox, oy), Point(ox + 3.0, oy), near):
                 for seed in (3, first_edge_seed(1, n), 5):
@@ -1588,8 +1633,7 @@ class TestFarPoint:
                         assert p in self.POINTS
         # the spies were reached, by the three near points only
         assert {name for name, _ in seen} == {
-            "_admission_mask", "_admitting_edges", "_cap_admitting",
-            "_fan_wedge"}
+            "_admission_mask", "_cap_admitting", "_fan_wedge"}
         assert max(far for _, far in seen) <= 4.0
 
 

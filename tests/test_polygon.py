@@ -32,8 +32,8 @@ from convexpoint.polygon import (
     PolygonError,
     TooFewVerticesError,
     _admission_mask,
-    _admitting_edges,
     _boundary_scan,
+    _cap_admitting,
     adjacent_quad,
     bounding_box,
     dump_polygon,
@@ -555,28 +555,45 @@ def _cap_probes(poly, rng):
     return points
 
 
+def _cap_edges(poly, px, py):
+    # _cap_admitting at a point within the outer disk: the mask's edges
+    # where it returns a list, and None only where the point's window, the
+    # chords whose normal angle lies within the caps' width of the point's
+    # angle about g, holds more than _VECTOR_MIN chords
+    gx, gy, _, outer, caps = poly.disks
+    dx, dy = px - gx, py - gy
+    assert caps is not None and dx * dx + dy * dy <= outer
+    got = _cap_admitting(poly, px, py, caps, dx, dy)
+    width, theta, _ = caps
+    off = abs((np.frombuffer(theta) - math.atan2(dy, dx) + math.pi)
+              % math.tau - math.pi)
+    if got is None:
+        assert np.count_nonzero(off <= width * (1 + 1e-9)) > _VECTOR_MIN
+    else:
+        assert np.count_nonzero(off <= width * (1 - 1e-9)) <= _VECTOR_MIN
+        assert got == _admission_mask(poly, px, py).nonzero()[0].tolist(), \
+            (poly.n, px, py)
+    return got
+
+
+def _within_outer(poly, px, py):
+    gx, gy, _, outer, _ = poly.disks
+    dx, dy = px - gx, py - gy
+    return dx * dx + dy * dy <= outer
+
+
 class TestChordCaps:
-    def _same_as_mask(self, polys, rng, monkeypatch):
-        # the helper's edges against the mask's at every probe; returns how
-        # many probes it answered without the mask
-        mask_calls = []
-
-        def counted(poly, px, py):
-            mask_calls.append(1)
-            return _admission_mask(poly, px, py)
-
-        monkeypatch.setattr(polygon, "_admission_mask", counted)
+    def _same_as_mask(self, polys, rng):
+        # the caps' edges against the mask's at every probe within the
+        # outer disk; returns how many probes they answered
         located = 0
         for poly in polys:
             for px, py in _cap_probes(poly, rng):
-                calls = len(mask_calls)
-                got = sorted(_admitting_edges(poly, px, py).tolist())
-                assert got == _admission_mask(poly, px, py).nonzero()[0] \
-                    .tolist(), (poly.n, px, py)
-                located += len(mask_calls) == calls
+                if _within_outer(poly, px, py):
+                    located += _cap_edges(poly, px, py) is not None
         return located
 
-    def test_random_rings_match_the_mask(self, monkeypatch):
+    def test_random_rings_match_the_mask(self):
         rng = np.random.default_rng(91)
         polys = []
         for n in (17, 100, 1000, 2000):
@@ -587,10 +604,10 @@ class TestChordCaps:
                         Point(radius * x + shift, radius * y + shift)
                         for x, y in unit)))
         assert all(p.disks[4] is not None for p in polys)
-        located = self._same_as_mask(polys, rng, monkeypatch)
+        located = self._same_as_mask(polys, rng)
         assert located > len(polys) * 100
 
-    def test_thin_hulls_match_the_mask(self, monkeypatch):
+    def test_thin_hulls_match_the_mask(self):
         # hulls of points on ellipses with axis ratios 1 to 0.01, where
         # admitting sets can split into runs and caps grow wide
         rng = np.random.default_rng(92)
@@ -602,16 +619,9 @@ class TestChordCaps:
                                       (ratio * np.sin(t)).tolist())))
                 polys.append(ConvexPolygon(tuple(map(Point, *zip(*ring)))))
         assert all(p.n >= 17 for p in polys)
-        self._same_as_mask(polys, rng, monkeypatch)
+        self._same_as_mask(polys, rng)
 
-    def test_the_mask_answers_where_the_caps_cannot(self, monkeypatch):
-        calls = []
-
-        def counted(poly, px, py):
-            calls.append(poly.n)
-            return _admission_mask(poly, px, py)
-
-        monkeypatch.setattr(polygon, "_admission_mask", counted)
+    def test_the_mask_answers_where_the_caps_cannot(self):
         # a circular sector: the chord at its apex has both candidate
         # centres on its edge side, so the polygon has no caps
         sector = validate_convex([(0.0, 0.0)] + [
@@ -630,18 +640,12 @@ class TestChordCaps:
         cases = [(sector, Point(0.9, 0.0)), (ring, Point(30.0, 0.0)),
                  (ellipse, Point((v[50].x + v[51].x) / 2,
                                  (v[50].y + v[51].y) / 2 - 2 * EPS))]
+        assert not _within_outer(ring, *cases[1][1])
+        assert _cap_edges(ellipse, *cases[2][1]) is None
         for poly, p in cases:
-            del calls[:]
-            got = _admitting_edges(poly, *p)
-            assert calls == [poly.n]
-            assert got.tolist() == _admission_mask(poly, *p).nonzero()[0] \
-                .tolist()
-        # and a near point of the 100-gon is found without the mask
-        del calls[:]
-        v = ring.vertices
-        assert _admitting_edges(ring, *v[7]).tolist() == \
-            _admission_mask(ring, *v[7]).nonzero()[0].tolist()
-        assert calls == []
+            assert sigma(poly, p) > 0
+        # and a near point of the 100-gon is found through the caps
+        assert _cap_edges(ring, *ring.vertices[7])
 
     def test_built_on_first_use_only(self):
         poly = random_convex(100, seed=94, radius=10)
@@ -654,16 +658,9 @@ class TestChordCaps:
         assert 0 < width < math.pi / 2
 
 
-    def test_points_within_the_outer_disk_take_the_caps(self, monkeypatch):
+    def test_points_within_the_outer_disk_take_the_caps(self):
         # the caps answer every point up to the outer disk's last ulp, with
-        # the mask's edges, and the mask answers past it
-        calls = []
-
-        def counted(poly, px, py):
-            calls.append(poly.n)
-            return _admission_mask(poly, px, py)
-
-        monkeypatch.setattr(polygon, "_admission_mask", counted)
+        # the mask's edges; the points just past it are left to the mask
         ring = random_convex(100, seed=95, radius=10)
         gx, gy, _, outer, caps = ring.disks
         assert caps is not None
@@ -673,14 +670,10 @@ class TestChordCaps:
             for j in range(-4, 5):
                 f = r * (1 + j * 2.0**-52)
                 px, py = gx + f * math.cos(t), gy + f * math.sin(t)
-                dx, dy = px - gx, py - gy
-                within = dx * dx + dy * dy <= outer
-                del calls[:]
-                got = _admitting_edges(ring, px, py).tolist()
-                assert calls == ([] if within else [100]), (t, j)
-                assert got == _admission_mask(ring, px, py).nonzero()[0] \
-                    .tolist()
-                assert got
+                within = _within_outer(ring, px, py)
+                if within:
+                    assert _cap_edges(ring, px, py), (t, j)
+                assert _admission_mask(ring, px, py).any()
                 took[within] += 1
         assert took[True] > 0 and took[False] > 0
 
