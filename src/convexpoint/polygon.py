@@ -42,17 +42,10 @@ from .geom import (
 # 400 box points each, two runs).
 _VECTOR_MIN = 40
 
-# The certified disks' error allowance, 8 units of roundoff (8 * 2**-53),
-# and the relative slack taken off a lower bound and an inner squared
-# radius; the outer disk's relative margin on |gx| + |gy| + rho, 8192 units
-# of roundoff, and the growth of its squared radius; the caps' radius, the
-# outer radius grown past every point the outer test keeps, and the
-# angular slack each cap gains. See ``ConvexPolygon.disks``.
-_GAMMA = 2.0 ** -50
-_DISK_SHRINK = 1.0 - 2.0 ** -48
-_OUTER_MARGIN = 2.0 ** -40
-_DISK_GROW = 1.0 + 2.0 ** -48
-_CAP_GROW = 1.0 + 2.0 ** -46
+# The certified disks' one relative allowance, delta = 32 units of roundoff
+# (32 * 2**-53), and the angular slack each cap gains. See
+# ``ConvexPolygon.disks``.
+_DELTA = 2.0 ** -48
 _CAP_SLACK = 2.0 ** -40
 
 class PolygonError(ValueError):
@@ -144,8 +137,8 @@ class ConvexPolygon:
     @cached_property
     def ring_columns(self) -> tuple[np.ndarray, ...]:
         """Per ring edge k, from V[k-1] to V[k], the float64 columns
-        ``ax, ay, by, ux, uy, tol`` with ``ux = bx - ax``, ``uy = by - ay``
-        and ``tol = |ux| + |uy|``, built on first use; see
+        ``ax, ay, by, ux, uy, band`` with ``ux = bx - ax``, ``uy = by - ay``
+        and ``band = EPS * (|ux| + |uy|)``, built on first use; see
         ``_boundary_scan``. A tuple of arrays: unpacking the rows of a 2-D
         array would build a view per row on every call, about 1 µs for
         four rows."""
@@ -154,7 +147,7 @@ class ConvexPolygon:
         ux = v[:, 0] - a[:, 0]
         uy = v[:, 1] - a[:, 1]
         return (a[:, 0].copy(), a[:, 1].copy(), v[:, 1].copy(), ux, uy,
-                np.abs(ux) + np.abs(uy))
+                EPS * (np.abs(ux) + np.abs(uy)))
 
     @cached_property
     def spoke_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +164,7 @@ class ConvexPolygon:
         dy = py - gy, both rounded, and d2 = dx * dx + dy * dy.
 
         - If ``d2 < inner``, no edge admits p: the float test of ``chords``
-          is false for every chord. ``inner`` is -1, an empty disk, when no
-          radius is certified.
+          is false for every chord.
         - If ``d2 > outer``, p is OUTSIDE for the quad scan of every edge:
           ``geom._ring_scan`` over the ring (a, b, d, c), or the triangle
           (a, b, c), finds no ring edge within EPS and an even crossing
@@ -184,14 +176,17 @@ class ConvexPolygon:
           ``width`` of the ``theta[k]`` of every chord that admits p, on the
           circle. The caps bound the directions in which each chord can
           admit, not which chords do: admitting sets need not form one run
-          of edges, and on thin rings they split. ``caps`` is None when some
-          chord's lower bound h (below) is not positive.
+          of edges, and on thin rings they split.
 
-        g is whichever of the vertex mean and the bounding box's midpoint
-        has the larger inner radius, and the vertex mean when neither has
-        one. Neither is always the deeper: the vertex mean is on many rings
-        of a dozen vertices, the box midpoint on most random rings of
-        thousands, where the vertex mean's caps are many times wider.
+        The inner disk and the caps rest on one lower bound h (below); when
+        it is not positive, ``inner`` is -1, an empty disk, and ``caps`` None.
+
+        g is the vertex mean or the bounding box's midpoint, whichever has
+        the larger least t / hypot(ux, uy) (t below), and the vertex mean when
+        neither is positive: a ranking, not a bound, so rho, R and h are
+        computed for g alone. Neither is always the deeper: the vertex mean
+        is on many rings of a dozen vertices, the box midpoint on most random
+        rings of thousands, where the vertex mean's caps are many times wider.
 
         The bound, by forward error analysis (u = 2**-53; Higham, "Accuracy
         and Stability of Numerical Algorithms", ch. 3; the static filter of
@@ -204,63 +199,64 @@ class ConvexPolygon:
         with -EPS < 0, so it is false wherever T(p) > c M(p). Let D = T(g),
         A = M(g), r = |p - g| and s = (p - g) . (uy, -ux) / hypot(ux, uy),
         p's reach along the outward normal; then T(p) = D - hypot(ux, uy) s,
-        s <= r and M(p) <= A + r (|ux| + |uy|). The table computes t =
-        D - 2 gamma A per chord, with gamma = 8u: the excess 13u on A covers
-        the rounding of D, A and t, and gamma stands in for c. Each use of t
-        below takes a factor (1 - 2**-48) on its result, which with that
-        excess covers the rounding of the use and of numpy's hypot.
+        s <= r and M(p) <= A + r (|ux| + |uy|). One relative allowance,
+        delta = 2**-48 = 32u, stands in for every rounding below. The table
+        computes t = D - 2 delta A per chord; as |D| <= A, the excess of
+        2 delta over c covers the rounding of D, A and t, so t <= D - c A.
 
-        Inner. For r <= rho the test is false when D - hypot(ux, uy) rho >
-        c (A + rho (|ux| + |uy|)), so for every rho below (D - c A) /
-        (hypot(ux, uy) + c (|ux| + |uy|)). Each chord's radius is computed as
-        t / (hypot(ux, uy) + gamma (|ux| + |uy|)), and the excess 5u on
-        |ux| + |uy| >= hypot(ux, uy) and the factor (1 - 2**-48) on the least
-        radius and again on ``inner``, its square, cover also the query's
-        rounded d2.
+        One bound, two uses. Let R be the caps' radius (see Caps) and let
+        chord j's test pass at a float point p with r <= R. Then T(p) <
+        c M(p) <= c (A + R (|ux| + |uy|)), so s > (D - c A - c R (|ux| +
+        |uy|)) / hypot(ux, uy). The table's h_j = (t - delta R (|ux| + |uy|))
+        / hypot(ux, uy), less delta of itself, lies below that bound: delta
+        covers c and the rounding of delta R (|ux| + |uy|), the factor
+        (1 - delta) that of the subtraction, the division and numpy's hypot.
+        h, the least h_j, is below R, as each chord line passes through a
+        vertex, within rho (1 + 4u) of g (see Outer). Inner: the query's d2
+        is at least (1 - u)**4 r**2 and ``inner`` = h**2 (1 - delta) at most
+        h**2 (1 - delta) (1 + u)**2, so ``d2 < inner`` gives r < h < R, and a
+        chord j that admitted p would give s > h_j >= h > r >= s.
 
         Outer. With rho the largest computed vertex distance from g, the
         exact one is at most rho (1 + 4u) (two rounded differences, numpy's
-        hypot under 1 ulp). The radius rho_o = rho + 2 EPS + 2**-40 S, with
+        hypot under 1 ulp). The radius rho_o = rho + 2 EPS + delta S, with
         S = |gx| + |gy| + rho, takes at most three roundings on any term, so
         it comes out at least (1 - 3u) times its exact value, and ``outer``
-        = rho_o**2 (1 + 2**-48) takes two more. The query's d2 is at most
+        = rho_o**2 (1 + delta) takes two more. The query's d2 is at most
         (1 + u)**4 r**2 (+inf only for a p far beyond the disk), so it
         exceeds ``outer`` only when r > rho_o. Every point X of a ring edge
         lies within rho (1 + 4u) of g, as the disk is convex, so |p - X| > m
-        = 2 EPS (1 - 3u) + S (2**-40 - 11u). No ring edge is within EPS:
+        = 2 EPS (1 - 3u) + S (delta - 11u). No ring edge is within EPS:
         ``_dist_point_segment`` measures p's distance to a rounded point (ax
         + t ux, ay + t uy), t a float in [0, 1], or to a, which is within
         11u S of an exact point X of the edge; the differences and ``hypot``
         then lose under 3u relative, so the distance it returns exceeds (m -
-        11u S)(1 - 3u) > EPS. The crossing count is even: whether an edge
-        straddles the ray's height is an exact comparison, and around a
-        closed ring the straddling edges are even in number. A straddling
-        edge crosses height py at X = a + t (b - a), with t = (py - ay) /
-        (by - ay) exactly in [0, 1], so |px - Xx| = |p - X| > m, while the
-        abscissa the scan computes is within 12u S of Xx. So each straddling
-        edge counts as its exact crossing lies right of p or not. Every
-        crossing lies in the disk of radius rho (1 + 4u) about g, whose chord
-        at height py is one interval, and p at that height lies outside the
-        disk and so beyond one end of the interval: all the crossings or
-        none count.
+        11u S)(1 - 3u) > EPS, as delta > 22u. The crossing count is even:
+        whether an edge straddles the ray's height is an exact comparison,
+        and around a closed ring the straddling edges are even in number. A
+        straddling edge crosses height py at X = a + t (b - a), with t = (py
+        - ay) / (by - ay) exactly in [0, 1], so |px - Xx| = |p - X| > m,
+        while the abscissa the scan computes is within 12u S of Xx, less
+        than m as delta > 23u. So each straddling edge counts as its exact
+        crossing lies right of p or not. Every crossing lies in the disk of
+        radius rho (1 + 4u) about g, whose chord at height py is one
+        interval, and p at that height lies outside the disk and so beyond
+        one end of the interval: all the crossings or none count.
 
-        Caps. Their radius R is rho_o grown by 2**-46. The query's d2 is at
-        least (1 - u)**4 r**2 and ``outer`` at most rho_o**2 (1 + 2**-48)
-        (1 + u)**2, so ``d2 <= outer`` gives r < rho_o (1 + 2**-49 + 4u) < R.
-        Where the test passes, T(p) < c M(p) <= c (A + R (|ux| + |uy|)), so
-        s > h = (D - c A - c R (|ux| + |uy|)) / hypot(ux, uy); when h > 0,
-        s / r = cos(phi - theta) > h / R, with phi the exact angle of p - g:
-        phi lies within acos(h / R) of theta. The table computes h as (t -
-        gamma R (|ux| + |uy|)) / hypot(ux, uy), less 2**-48 of itself, below
-        the exact one, and so is h / R after its rounding. acos decreases,
-        so ``width``, ``math.acos`` of the least such ratio plus 2**-40
-        radians, is at least every chord's acos(h / R) plus 2**-40 less a
-        few ulp of pi. Rounding dx and dy turns p - g by at most u / (1 - u)
-        radians, atan2 and numpy's arctan2 are off by a few ulp of pi, and
-        the window's bounds and their shift by 2 pi round by as much again:
-        under 1e-14 radians in all, far inside the 2**-40. h / R < 1, as the
-        chord line passes through a vertex, within rho (1 + 4u) of g, so
-        acos sees no argument beyond its domain.
+        Caps. Their radius R is rho_o (1 + delta), at least rho_o (1 + delta
+        - 2u) after its rounding. The query's d2 is at least (1 - u)**4 r**2
+        and ``outer`` at most rho_o**2 (1 + delta) (1 + u)**2, so ``d2 <=
+        outer`` gives r < rho_o (1 + delta / 2 + 4u) < R. For a chord j that
+        admits p, s / r = cos(phi - theta) > h_j / R >= h / R, with phi the
+        exact angle of p - g: phi lies within acos(h / R) of theta, and h /
+        R after its rounding still lies below every such bound. acos
+        decreases, so ``width``, ``math.acos`` of it plus 2**-40 radians, is
+        at least every chord's acos(h / R) plus 2**-40 less a few ulp of pi.
+        Rounding dx and dy turns p - g by at most u / (1 - u) radians, atan2
+        and numpy's arctan2 are off by a few ulp of pi, and the window's
+        bounds and their shift by 2 pi round by as much again: under 1e-14
+        radians in all, far inside the 2**-40. As h < R, acos sees no
+        argument beyond its domain.
 
         The inner disk is empty and ``caps`` None, about any centre, for a
         triangle, whose rows admit its whole closed area, a square, whose
@@ -279,26 +275,27 @@ class ConvexPolygon:
         oy = np.array(((vy.sum() / n,), (0.5 * (vy.min() + vy.max()),)))
         ex, ey = ox - cx, oy - cy
         au, av = abs(ux), abs(uy)
-        hyp, l1 = np.hypot(ux, uy), au + av
-        t = (ux * ey - uy * ex) - 2.0 * _GAMMA * (au * abs(ey) + av * abs(ex))
-        depth = (t / (hyp + _GAMMA * l1)).min(axis=1).tolist()
+        hyp = np.hypot(ux, uy)
+        t = (ux * ey - uy * ex) - 2.0 * _DELTA * (au * abs(ey) + av * abs(ex))
+        depth = (t / hyp).min(axis=1).tolist()
         k = 1 if depth[1] > max(depth[0], 0.0) else 0
         gx, gy = float(ox[k, 0]), float(oy[k, 0])
-        r = depth[k] * _DISK_SHRINK
-        inner = r * r * _DISK_SHRINK if r > 0.0 else -1.0
         rho = float(np.hypot(vx - gx, vy - gy).max())
-        r = rho + 2.0 * EPS + _OUTER_MARGIN * (abs(gx) + abs(gy) + rho)
-        cap_r = r * _CAP_GROW
-        # the least h gives the widest cap, as acos decreases
-        h = float(((t[k] - _GAMMA * cap_r * l1) / hyp).min()) * _DISK_SHRINK
-        caps = None
+        r = rho + 2.0 * EPS + _DELTA * (abs(gx) + abs(gy) + rho)
+        cap_r = r * (1.0 + _DELTA)
+        # the one lower bound: the least h gives the inner radius and the
+        # widest cap, as acos decreases
+        h = float(((t[k] - _DELTA * cap_r * (au + av)) / hyp).min())
+        inner, caps = -1.0, None
         if h > 0.0:
+            h -= _DELTA * h
             theta = np.arctan2(-ux, uy)
             order = theta.argsort(kind="stable")
+            inner = h * h * (1.0 - _DELTA)
             caps = (math.acos(h / cap_r) + _CAP_SLACK,
                     array("d", theta[order].tobytes()),
                     array("q", order.astype(np.int64, copy=False).tobytes()))
-        return gx, gy, inner, r * r * _DISK_GROW, caps
+        return gx, gy, inner, r * r * (1.0 + _DELTA), caps
 
     def centroid(self) -> Point:
         xs = sum(v.x for v in self.vertices)
@@ -590,8 +587,8 @@ def _boundary_scan(poly: ConvexPolygon, px: float, py: float) -> int:
     verts = poly.vertices
     if len(verts) < _VECTOR_MIN:
         return _ring_scan(verts, px, py)
-    ax, ay, by, ux, uy, tol = poly.ring_columns
-    near = abs(ux * (py - ay) - uy * (px - ax)) <= EPS * tol
+    ax, ay, by, ux, uy, band = poly.ring_columns
+    near = abs(ux * (py - ay) - uy * (px - ax)) <= band
     for k in near.nonzero()[0].tolist():
         (x0, y0), (x1, y1) = verts[k - 1], verts[k]
         if _dist_point_segment(px, py, x0, y0, x1, y1) <= EPS:

@@ -1074,16 +1074,25 @@ class TestKernelDisk:
     def test_matches_a_scalar_loop_over_the_chords(self):
         # the centre is the vertex mean or the box midpoint, whichever lies
         # deeper inside the chord lines, and the radius is its depth
-        for n, seed in [(7, 81), (12, 82), (100, 83)]:
-            poly = random_convex(n, seed, radius=40)
-            o = poly.centroid()
-            box = bounding_box(poly)
-            mid = ((box.min.x + box.max.x) / 2, (box.min.y + box.max.y) / 2)
-            centre = max((o.x, o.y), mid, key=lambda c: _depth(poly, *c))
-            ox, oy, r2, _, _ = poly.disks
-            assert (ox, oy) == pytest.approx(centre, rel=1e-15, abs=1e-13)
-            r = _depth(poly, ox, oy)
-            assert r > 0 and r2 == pytest.approx(r * r, rel=1e-12)
+        for n, seed in [(7, 81), (12, 82), (100, 83), (1000, 84), (2000, 85)]:
+            for radius in (1e-2, 40, 1e6):
+                poly = _scaled_convex(n, seed, radius)
+                # the vertex mean summed as the table sums it, by numpy from
+                # V[n-1] on: a Python sum, or one from V[0], differs from it
+                # by up to 2e-14 relative at R = 1e6
+                v = poly.vertices
+                xs, ys = (np.array(c) for c in zip(*v[-1:] + v[:-1]))
+                mean = (float(xs.sum()) / n, float(ys.sum()) / n)
+                box = bounding_box(poly)
+                mid = ((box.min.x + box.max.x) / 2,
+                       (box.min.y + box.max.y) / 2)
+                centre = max(mean, mid, key=lambda c: _depth(poly, *c))
+                ox, oy, r2, _, _ = poly.disks
+                assert (ox, oy) == pytest.approx(centre, rel=1e-15,
+                                                 abs=1e-13), (n, radius)
+                r = _depth(poly, ox, oy)
+                assert r > 0 and r2 == pytest.approx(r * r, rel=1e-12), (
+                    n, radius)
 
     def test_centre_is_the_deeper_candidate(self):
         # the vertex mean lies deeper inside the chord lines than the box

@@ -480,7 +480,7 @@ class TestChordTable:
         verts = random_convex(_VECTOR_MIN + 3, seed=56, radius=3).vertices
         a, b = ConvexPolygon(verts), ConvexPolygon(verts)
         h, r = hash(a), repr(a)
-        ax, ay, by, ux, uy, tol = a.ring_columns
+        ax, ay, by, ux, uy, band = a.ring_columns
         sx, sy = a.spoke_columns
         assert a == b and b == a
         assert hash(a) == h == hash(b)
@@ -488,8 +488,9 @@ class TestChordTable:
         o = verts[0]
         for k, (x1, y1) in enumerate(verts):
             x0, y0 = verts[k - 1]
-            assert (ax[k], ay[k], by[k], ux[k], uy[k], tol[k]) == (
-                x0, y0, y1, x1 - x0, y1 - y0, abs(x1 - x0) + abs(y1 - y0))
+            assert (ax[k], ay[k], by[k], ux[k], uy[k], band[k]) == (
+                x0, y0, y1, x1 - x0, y1 - y0,
+                EPS * (abs(x1 - x0) + abs(y1 - y0)))
             assert (sx[k], sy[k]) == (x1 - o.x, y1 - o.y)
 
     @pytest.mark.parametrize("n", [3, 4, _VECTOR_MIN - 1, _VECTOR_MIN, 2000])
@@ -501,7 +502,7 @@ class TestChordTable:
         ux, uy = v[:, 0] - a[:, 0], v[:, 1] - a[:, 1]
         builds = [
             (poly.ring_columns, (a[:, 0], a[:, 1], v[:, 1], ux, uy,
-                                 np.abs(ux) + np.abs(uy))),
+                                 EPS * (np.abs(ux) + np.abs(uy)))),
             (poly.spoke_columns, (v[:, 0] - v[0, 0], v[:, 1] - v[0, 1])),
             (poly.chord_columns,
              tuple(np.array(poly.chords, dtype=np.float64).T))]
@@ -582,6 +583,20 @@ def _within_outer(poly, px, py):
     return dx * dx + dy * dy <= outer
 
 
+def _sector():
+    # a circular sector: the chord at its apex has both candidate centres on
+    # its edge side, so the polygon has no caps
+    return validate_convex([(0.0, 0.0)] + [
+        (math.cos(t), math.sin(t)) for t in np.linspace(-0.1, 0.1, 19)])
+
+
+def _thin_ellipse():
+    # a 200-gon on an ellipse with axis ratio 1:100
+    return validate_convex([
+        (math.cos(2 * math.pi * k / 200),
+         0.01 * math.sin(2 * math.pi * k / 200)) for k in range(200)])
+
+
 class TestChordCaps:
     def _same_as_mask(self, polys, rng):
         # the caps' edges against the mask's at every probe within the
@@ -622,19 +637,14 @@ class TestChordCaps:
         self._same_as_mask(polys, rng)
 
     def test_the_mask_answers_where_the_caps_cannot(self):
-        # a circular sector: the chord at its apex has both candidate
-        # centres on its edge side, so the polygon has no caps
-        sector = validate_convex([(0.0, 0.0)] + [
-            (math.cos(t), math.sin(t)) for t in np.linspace(-0.1, 0.1, 19)])
+        sector = _sector()
         assert sector.disks[4] is None
         # a point three radii out lies beyond the outer disk
         ring = random_convex(100, seed=93, radius=10)
         assert ring.disks[4] is not None
         # 2 EPS inside a long side of a 1:100 ellipse, about half of the
         # 200 chords' caps face the point
-        ellipse = validate_convex([
-            (math.cos(2 * math.pi * k / 200),
-             0.01 * math.sin(2 * math.pi * k / 200)) for k in range(200)])
+        ellipse = _thin_ellipse()
         assert ellipse.disks[4][0] > 1.5
         v = ellipse.vertices
         cases = [(sector, Point(0.9, 0.0)), (ring, Point(30.0, 0.0)),
@@ -646,6 +656,25 @@ class TestChordCaps:
             assert sigma(poly, p) > 0
         # and a near point of the 100-gon is found through the caps
         assert _cap_edges(ring, *ring.vertices[7])
+
+    def test_the_inner_disk_and_the_caps_share_one_bound(self):
+        # both come from the least certified lower bound h over the chords,
+        # so a polygon has an inner disk exactly when it has caps; on scaled
+        # and shifted rings, the sector and the 1:100 ellipse
+        polys = [_sector(), _thin_ellipse()]
+        for n in (3, 4, 5, 6, 7, 12, 17, 100, 2000):
+            unit = random_convex(n, seed=n + 96).vertices
+            for radius in (1e-2, 1.0, 1e6):
+                for shift in (0.0, 1e6):
+                    polys.append(ConvexPolygon(tuple(
+                        Point(radius * x + shift, radius * y - shift)
+                        for x, y in unit)))
+        both = 0
+        for poly in polys:
+            _, _, inner, _, caps = poly.disks
+            assert (inner > 0) is (caps is not None), poly.n
+            both += caps is not None
+        assert 0 < both < len(polys)
 
     def test_built_on_first_use_only(self):
         poly = random_convex(100, seed=94, radius=10)
