@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,24 +59,26 @@ DEFAULT_SEED = 1729
 class SeededShuffle:
     """Visit edges in a seed-determined random permutation.
 
-    The policy carries its seed mixed into generator state, computed once,
-    when the policy is built: every query under the policy starts its draws
-    from ``state``, and a query that ranks the rest of the order seeds its
-    key generator with ``pcg_state``, the 128-bit PCG64 state
-    ``(state << 64) | _mix64(state)``. So build a policy once and reuse it
-    across queries. Equality, hashing and repr see only ``seed``. A seed
+    The policy carries its seed mixed into generator state, each part
+    computed once: every query under the policy starts its draws from
+    ``state``, mixed when the policy is built, and a query that ranks the
+    rest of the order seeds its key generator with ``pcg_state``, the
+    128-bit PCG64 state ``(state << 64) | _mix64(state)``, mixed the first
+    time a query under the policy ranks. So build a policy once and reuse
+    it across queries. Equality, hashing and repr see only ``seed``. A seed
     that is not an integer raises TypeError here, not at the first query.
     """
 
     seed: int
     state: int = field(init=False, repr=False, compare=False)
-    pcg_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # frozen: write both derived fields past __setattr__ at once
-        state = _mix64(self.seed & _MASK64)
-        self.__dict__.update(state=state,
-                             pcg_state=(state << 64) | _mix64(state))
+        # frozen: write the derived field past __setattr__
+        self.__dict__["state"] = _mix64(self.seed & _MASK64)
+
+    @cached_property
+    def pcg_state(self) -> int:
+        return (self.state << 64) | _mix64(self.state)
 
 
 class TrialStats(NamedTuple):
@@ -134,15 +137,14 @@ def _mix64(x: int) -> int:
 _DEFAULT_POLICY = SeededShuffle(DEFAULT_SEED)
 
 
-def _edge_keys(pcg_state: int, n: int) -> np.ndarray:
-    # n uniform keys in [0, 1) from a thread-local PCG64 set to the 128-bit
-    # ``pcg_state`` of a policy, which mixed it when it was built, so a
-    # query mixes nothing here. Independent uniform keys sort into a uniform
-    # permutation (Knuth, TAOCP vol. 2, 3.4.2), so the undrawn edges in
-    # increasing (key, index) order complete the lazy prefix. Resetting the
-    # generator's state is a pure function of the seed and several
-    # microseconds cheaper than fresh SeedSequence entropy mixing; each
-    # thread keeps one state dict and rewrites only its state entry.
+def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
+    # One uniform key in [0, 1) per edge from a thread-local PCG64 set to a
+    # policy's ``pcg_state``. Uniform keys sort into a uniform permutation
+    # (Knuth, TAOCP vol. 2, 3.4.2), so the edges not in ``drawn``, by
+    # increasing (key, index), are the rest of the seeded order; the drawn
+    # edges get +inf and count toward no rank. Setting the state is a pure
+    # function of the seed, several µs cheaper than SeedSequence mixing, and
+    # rewrites one dict entry per thread. Call it only past the whole prefix.
     pcg = getattr(_tls, "pcg", None)
     if pcg is None:
         bg = np.random.PCG64(0)
@@ -153,15 +155,7 @@ def _edge_keys(pcg_state: int, n: int) -> np.ndarray:
     bg, gen, inner, outer = pcg
     inner["state"] = pcg_state
     bg.state = outer
-    return gen.random(n)
-
-
-def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
-    # One key per edge: the edges not in ``drawn``, by increasing (key,
-    # index), are the rest of the seeded order. The drawn edges get +inf,
-    # so they sort last and count toward no rank. Call it only when
-    # n > _LAZY_DRAWS and after the whole prefix has been drawn.
-    keys = _edge_keys(pcg_state, n)
+    keys = gen.random(n)
     keys.put(drawn, np.inf)
     return keys
 
@@ -209,17 +203,19 @@ def edge_order(policy: SeededShuffle, n: int) -> list[int]:
     return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
 
 
-def _quad_verdict(r: int, n_polygon: int) -> Classification:
-    # ``r`` is ``_ring_scan`` over the quad ring (a, b, d, c), for a
-    # triangle (a, b, c). Ring edge 3 is the closing side d-c, a polygon edge
-    # only when the polygon is a square; otherwise it is an interior chord.
-    if r < 0:
-        if r == -4 and n_polygon != 4:
+def _quad_verdict(ring: tuple[Point, ...], px: float, py: float,
+                  n_polygon: int) -> Classification:
+    # ``ring`` is the quad ring (a, b, d, c), for a triangle (a, b, c). Ring
+    # edge 3 is the closing side d-c, a polygon edge only when the polygon
+    # is a square; otherwise it is an interior chord.
+    r = _ring_scan(ring, px, py)
+    if r >= 0:
+        if r & 1:
             return Classification.INSIDE
-        return Classification.ON_BOUNDARY
-    if r % 2 == 1:
+        return Classification.OUTSIDE
+    if r == -4 and n_polygon != 4:
         return Classification.INSIDE
-    return Classification.OUTSIDE
+    return Classification.ON_BOUNDARY
 
 
 def classify_quad(quad: Quad, p: Point, n_polygon: int) -> Classification:
@@ -236,7 +232,7 @@ def classify_quad(quad: Quad, p: Point, n_polygon: int) -> Classification:
     if not _require_finite(px, py):
         return Classification.OUTSIDE
     ring = (quad.a, quad.b, quad.d, quad.c)[:n_polygon]
-    return _quad_verdict(_ring_scan(ring, px, py), n_polygon)
+    return _quad_verdict(ring, px, py, n_polygon)
 
 
 def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
@@ -250,13 +246,8 @@ def _admitted(verts: tuple[Point, ...], i: int, tried: int, px: float,
         ring = (verts[i], verts[i - 2], verts[i - 1])
     else:
         ring = (verts[i], verts[i + 1 - n], verts[i + 2 - n], verts[i - 1])
-    r = _ring_scan(ring, px, py)
-    stats = _new(TrialStats, (tried, tried + len(ring), i, False))
-    if r >= 0:
-        if r & 1:
-            return Classification.INSIDE, stats
-        return Classification.OUTSIDE, stats
-    return _quad_verdict(r, n), stats
+    return _quad_verdict(ring, px, py, n), _new(
+        TrialStats, (tried, tried + len(ring), i, False))
 
 
 def classify_improved(poly: ConvexPolygon, p: Point,
@@ -276,7 +267,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     it through the caps alone (``polygon._cap_admitting``), in O(log N)
     plus the few chords whose certified cap faces the point; each draw then
     asks whether its edge is in that set instead of testing its chord, with
-    the same answer, and an empty set answers INSIDE at once, with no draw.
+    the same answer; when the set is empty, every draw rejects and the
+    query answers INSIDE after them, as when no edge admits, drawing no key.
     Where the caps cannot answer (a polygon without caps, a point beyond
     the outer disk, a window of more than ``polygon._VECTOR_MIN`` chords),
     each draw tests its chord, and a query that gets past the draws tests
@@ -328,8 +320,6 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # window's chord tests give the whole admitting set, and a drawn
         # edge admits iff it is in that set.
         admitting = _cap_admitting(poly, px, py, caps, dx, dy)
-        if admitting == []:
-            return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
     drawn: list[int] = []
     # ``edge_order``'s draws from the mixed seed, one per trial
     state = policy.state

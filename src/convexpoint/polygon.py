@@ -128,8 +128,10 @@ class ConvexPolygon:
         return tuple(np.fromiter(chain.from_iterable(self.chords), np.float64,
                                  4 * n).reshape(n, 4).T.copy())
 
+    @cached_property
     def _vertex_array(self) -> np.ndarray:
-        # the vertices as an (n, 2) float64 array, read in one pass
+        # the vertices as an (n, 2) float64 array, read in one pass and
+        # shared by ``ring_columns``, ``spoke_columns`` and ``disks``
         n = len(self.vertices)
         return np.fromiter(chain.from_iterable(self.vertices), np.float64,
                            2 * n).reshape(n, 2)
@@ -142,7 +144,7 @@ class ConvexPolygon:
         ``_boundary_scan``. A tuple of arrays: unpacking the rows of a 2-D
         array would build a view per row on every call, about 1 µs for
         four rows."""
-        v = self._vertex_array()
+        v = self._vertex_array
         a = np.roll(v, 1, axis=0)
         ux = v[:, 0] - a[:, 0]
         uy = v[:, 1] - a[:, 1]
@@ -153,7 +155,7 @@ class ConvexPolygon:
     def spoke_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex i, the spoke ``V[i] - V[0]`` as the float64 columns
         ``sx, sy``, built on first use; see ``_fan_wedge``."""
-        v = self._vertex_array()
+        v = self._vertex_array
         return v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
 
     @cached_property
@@ -269,7 +271,7 @@ class ConvexPolygon:
         n = len(cx)
         # from 4 vertices on, (cx[i], cy[i]) is vertex i - 1; a triangle's
         # rows are not its vertices
-        vx, vy = (cx, cy) if n > 3 else self._vertex_array().T
+        vx, vy = (cx, cy) if n > 3 else self._vertex_array.T
         # the candidate centres as rows: the vertex mean, the box midpoint
         ox = np.array(((vx.sum() / n,), (0.5 * (vx.min() + vx.max()),)))
         oy = np.array(((vy.sum() / n,), (0.5 * (vy.min() + vy.max()),)))

@@ -143,6 +143,7 @@ class TestSeededShuffle:
     def test_state_is_the_mixed_seed(self, seed):
         mix = classify_module._mix64
         policy = SeededShuffle(seed)
+        assert "pcg_state" not in policy.__dict__
         assert policy.state == mix(seed & _MASK64)
         assert policy.pcg_state == (policy.state << 64) | mix(policy.state)
         assert 0 <= policy.pcg_state < 2**128
@@ -465,7 +466,7 @@ class TestClassifyImproved:
         def fail(*args):
             raise AssertionError("keys drawn for a sigma = 0 query")
 
-        monkeypatch.setattr(classify_module, "_edge_keys", fail)
+        monkeypatch.setattr(classify_module, "_rest_keys", fail)
         for n in (_LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             # the chord lines bound a regular n-gon with the inner disk as
@@ -487,8 +488,12 @@ class TestClassifyImproved:
     def test_tied_keys_rank_by_edge_index(self, monkeypatch):
         # with every key tied, the rest of a seeded order is the undrawn
         # edges by index, on the query path and in edge_order alike
-        monkeypatch.setattr(classify_module, "_edge_keys",
-                            lambda state, n: np.zeros(n))
+        def tied(n, drawn, pcg_state):
+            keys = np.zeros(n)
+            keys.put(drawn, np.inf)
+            return keys
+
+        monkeypatch.setattr(classify_module, "_rest_keys", tied)
         past_prefix = 0
         for n, seed in [(17, 30), (100, 31), (2000, 32)]:
             poly = random_convex(n, seed=seed, radius=10)
@@ -957,7 +962,7 @@ class TestCapWindowTrials:
     def test_regular_ring_corners_have_sigma_zero(self, monkeypatch):
         # halfway out from the inner disk toward a corner of a regular
         # 1000-gon no chord admits (see test_sigma_zero_never_builds_the_
-        # bulk_order); the window answers those points with no draw
+        # bulk_order); the window finds no edge, and every draw rejects
         poly = regular_ngon(1000)
         r = math.sqrt(poly.disks[2])
         f = r * (1 + 0.5 * (1 / math.cos(math.pi / 1000) - 1))
@@ -967,6 +972,42 @@ class TestCapWindowTrials:
         assert all(sigma(poly, p) == 0 for p in points)
         kinds = self._check(poly, points, monkeypatch)
         assert kinds["sigma 0"] == len(points) * len(self.POLICIES)
+
+    def test_an_empty_window_answers_after_the_draws(self, monkeypatch):
+        # a sigma = 0 point outside the inner disk of a regular 100-gon,
+        # halfway out toward a corner: its cap window is empty, so every
+        # draw rejects, and the query answers as when no edge admits,
+        # without the rank step or the mask
+        def fail(*args):
+            raise AssertionError("rank step or mask for an empty window")
+
+        windows = []
+        real = classify_module._cap_admitting
+
+        def spy(*args):
+            windows.append(real(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(classify_module, "_cap_admitting", spy)
+        monkeypatch.setattr(classify_module, "_rank_step", fail)
+        monkeypatch.setattr(classify_module, "_admission_mask", fail)
+        n = 100
+        poly = regular_ngon(n)
+        gx, gy, inner, _, caps = poly.disks
+        assert caps is not None and n > _LAZY_DRAWS
+        r = math.sqrt(inner)
+        f = r * (1 + 0.5 * (1 / math.cos(math.pi / n) - 1))
+        for k in (0, 13, 50):
+            t = 2 * math.pi * k / n
+            p = Point(f * math.cos(t), f * math.sin(t))
+            assert (p.x - gx) ** 2 + (p.y - gy) ** 2 > inner
+            assert sigma(poly, p) == 0
+            for seed in self.POLICIES:
+                del windows[:]
+                got = classify_improved(poly, p, SeededShuffle(seed))
+                assert windows == [[]]
+                assert got == (Classification.INSIDE,
+                               TrialStats(n, n, None, True))
 
     def test_the_window_starts_past_the_lazy_draws(self, monkeypatch):
         # at n = _LAZY_DRAWS no query computes a window; at _LAZY_DRAWS + 1
