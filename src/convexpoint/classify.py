@@ -147,30 +147,28 @@ def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
     # rewrites one dict entry per thread. Call it only past the whole prefix.
     pcg = getattr(_tls, "pcg", None)
     if pcg is None:
-        bg = np.random.PCG64(0)
-        inner = {"state": 0, "inc": _PCG_INC}
-        _tls.pcg = pcg = (bg, np.random.Generator(bg), inner, {
-            "bit_generator": "PCG64", "state": inner, "has_uint32": 0,
-            "uinteger": 0})
-    bg, gen, inner, outer = pcg
-    inner["state"] = pcg_state
-    bg.state = outer
+        _tls.pcg = pcg = (np.random.Generator(np.random.PCG64(0)), {
+            "bit_generator": "PCG64", "state": {"state": 0, "inc": _PCG_INC},
+            "has_uint32": 0, "uinteger": 0})
+    gen, state = pcg
+    state["state"]["state"] = pcg_state
+    gen.bit_generator.state = state
     keys = gen.random(n)
     keys.put(drawn, np.inf)
     return keys
 
 
-def _rank_step(n: int, drawn: list[int], admitting, pcg_state: int
-               ) -> tuple[int, int]:
+def _rank_step(n: int, drawn: list[int], admitting: list[int],
+               pcg_state: int) -> tuple[int, int]:
     # (edge, i) for a query whose lazy prefix ``drawn`` admitted nothing:
     # the first of ``admitting`` (edge indices in increasing order, not
     # empty) in the rest of the order, and its index in the whole order. It
-    # has the least (key, index); argmin breaks ties toward the lower
-    # index. Its rank counts the undrawn edges before it in that order.
+    # has the least (key, index); ``min`` keeps the first least key of the
+    # sorted list, so ties go to the lower index. Its rank counts the
+    # undrawn edges before it in that order.
     keys = _rest_keys(n, drawn, pcg_state)
-    ka = keys[admitting]
-    k = int(ka.argmin())
-    edge, key = int(admitting[k]), ka[k]
+    edge = min(admitting, key=keys.item)
+    key = keys.item(edge)
     rank = int(np.count_nonzero(keys[:edge] <= key)
                + np.count_nonzero(keys[edge:] < key))
     return edge, _LAZY_DRAWS + rank
@@ -345,8 +343,8 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # admits (sigma = 0) draws no keys, nor does a polygon of at most
         # _LAZY_DRAWS edges, whose draws were its whole order.
         if admitting is None and n > _LAZY_DRAWS:
-            admitting = _admission_mask(poly, px, py).nonzero()[0]
-        if admitting is None or not len(admitting):
+            admitting = _admission_mask(poly, px, py).nonzero()[0].tolist()
+        if not admitting:
             return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
         e, i = _rank_step(n, drawn, admitting, policy.pcg_state)
     # edge e, at index i of the order, admits the point

@@ -175,10 +175,14 @@ class ConvexPolygon:
           ``caps`` is ``(width, theta, edge)``: entry k is the chord of edge
           ``edge[k]``, in increasing order of ``theta[k]``, the angle of its
           outward normal (uy, -ux), and ``math.atan2(dy, dx)`` lies within
-          ``width`` of the ``theta[k]`` of every chord that admits p, on the
-          circle. The caps bound the directions in which each chord can
-          admit, not which chords do: admitting sets need not form one run
-          of edges, and on thin rings they split.
+          ``width`` of the ``theta[k]`` of every chord that admits p. The
+          table is unrolled once: the angles in [-pi, pi] hold every chord
+          once, and the chords within ``width`` of either end are also
+          copied past the other end, shifted by 2 pi, so the window of every
+          angle in [-pi, pi] is one run of it. The caps bound the
+          directions in which each chord can admit, not which chords do:
+          admitting sets need not form one run of edges, and on thin rings
+          they split.
 
         The inner disk and the caps rest on one lower bound h (below); when
         it is not positive, ``inner`` is -1, an empty disk, and ``caps`` None.
@@ -256,16 +260,19 @@ class ConvexPolygon:
         at least every chord's acos(h / R) plus 2**-40 less a few ulp of pi.
         Rounding dx and dy turns p - g by at most u / (1 - u) radians, atan2
         and numpy's arctan2 are off by a few ulp of pi, and the window's
-        bounds and their shift by 2 pi round by as much again: under 1e-14
-        radians in all, far inside the 2**-40. As h < R, acos sees no
-        argument beyond its domain.
+        bounds, the table's copies shifted by 2 pi and the cut of its
+        margins round by as much again: under 1e-14 radians in all, far
+        inside the 2**-40, so a chord that rounding moves across a bound
+        never admits. As ``width`` is below pi / 2 + 2**-40, no window holds
+        a chord twice. As h < R, acos sees no argument beyond its domain.
 
         The inner disk is empty and ``caps`` None, about any centre, for a
         triangle, whose rows admit its whole closed area, a square, whose
         chords are its edges reversed, a pentagon, where the inner sides of
         chords 1 and 3 meet only at V0, and a hexagon, whose chords i and
         i + 3 are one line, reversed. Arrays keep the caps compact, 32 kB at
-        N = 2000, and ``bisect`` searches ``theta`` as it is.
+        N = 2000 with a margin of a few entries, and ``bisect`` searches
+        ``theta`` as it is.
         """
         cx, cy, ux, uy = self.chord_columns
         n = len(cx)
@@ -291,11 +298,18 @@ class ConvexPolygon:
         inner, caps = -1.0, None
         if h > 0.0:
             h -= _DELTA * h
+            width = math.acos(h / cap_r) + _CAP_SLACK
             theta = np.arctan2(-ux, uy)
             order = theta.argsort(kind="stable")
+            theta = theta[order]
+            # the chords within width of +pi again before the run, less
+            # 2 pi, and those within width of -pi after it, plus 2 pi
+            i, j = theta.searchsorted((width - math.pi, math.pi - width))
+            theta = np.concatenate((theta[j:] - math.tau, theta,
+                                    theta[:i] + math.tau))
+            order = np.concatenate((order[j:], order, order[:i]))
             inner = h * h * (1.0 - _DELTA)
-            caps = (math.acos(h / cap_r) + _CAP_SLACK,
-                    array("d", theta[order].tobytes()),
+            caps = (width, array("d", theta.tobytes()),
                     array("q", order.astype(np.int64, copy=False).tobytes()))
         return gx, gy, inner, r * r * (1.0 + _DELTA), caps
 
@@ -547,29 +561,24 @@ def _cap_admitting(poly: ConvexPolygon, px: float, py: float, caps: tuple,
     """The edges that admit ``(px, py)``, in increasing order, found in
     O(log N + window) through ``caps``, the caps of ``poly.disks``, for a
     point that is not beyond the outer disk; ``dx`` and ``dy`` are its
-    offset from the table's centre g. Bisection finds the window of chords
-    whose normal angle lies within the caps' ``width`` of the point's angle
-    about g; a window past -pi or +pi goes on at the other end of
-    ``theta``. The table's proof puts every admitting chord in the window,
-    and each chord in it runs the scalar test of ``chords``, bit for bit the
-    entry of ``_admission_mask``. Testing a chord costs about as much as
-    testing whether its own cap holds the angle, so the window is not
-    narrowed further. None when the window holds more than ``_VECTOR_MIN``
+    offset from the table's centre g. One bisection pair finds the window of
+    chords whose normal angle lies within the caps' ``width`` of the
+    point's angle about g: one run of ``theta``, whose copies past -pi and
+    +pi stand for the chords at the other end, so no window wraps. The
+    table's proof puts every admitting chord in the window, and each chord
+    in it runs the scalar test of ``chords``, bit for bit the entry of
+    ``_admission_mask``. Testing a chord costs about as much as testing
+    whether its own cap holds the angle, so the window is not narrowed
+    further. None when the window holds more than ``_VECTOR_MIN``
     chords (thin rings), where the scalar loop stops paying."""
     width, theta, edge = caps
     phi = math.atan2(dy, dx)
-    lo, hi = phi - width, phi + width
-    ks = range(bisect_left(theta, lo), bisect_right(theta, hi))
-    if lo < -math.pi:
-        ks = [*ks, *range(bisect_left(theta, lo + math.tau), len(theta))]
-    elif hi > math.pi:
-        ks = [*range(bisect_right(theta, hi - math.tau)), *ks]
-    if len(ks) > _VECTOR_MIN:
+    i, j = bisect_left(theta, phi - width), bisect_right(theta, phi + width)
+    if j - i > _VECTOR_MIN:
         return None
     chords = poly.chords
     found = []
-    for k in ks:
-        e = edge[k]
+    for e in edge[i:j]:
         cx, cy, ux, uy = chords[e]
         if ux * (py - cy) - uy * (px - cx) < -EPS:
             found.append(e)

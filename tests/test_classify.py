@@ -1050,6 +1050,36 @@ class TestCapWindowTrials:
                         assert got[1][:3] == (1, 5, first)
             assert checked > len(points)
 
+    def test_the_mask_route_ranks_a_large_sigma(self, monkeypatch):
+        # 1.5 outer radii from g, beyond the outer disk of a 1000-gon, 268
+        # edges admit the point; under these policy seeds none of the 16
+        # draws is one of them, so the mask gives the whole admitting set
+        # and the rank step picks the order's first admitting edge in it
+        poly = random_convex(1000, seed=99, radius=10)
+        gx, gy, _, outer, _ = poly.disks
+        p = Point(gx + 1.5 * math.sqrt(outer), gy)
+        mask = polygon_module._admission_mask(poly, p.x, p.y)
+        assert mask.sum() == sigma(poly, p) == 268
+        calls = []
+        real = classify_module._admission_mask
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(classify_module, "_admission_mask", counted)
+        for seed in (276, 294, 390, 479):
+            policy = SeededShuffle(seed)
+            order = np.array(edge_order(policy, poly.n))
+            assert not mask[order[:_LAZY_DRAWS]].any()
+            t = int(mask[order].argmax())
+            del calls[:]
+            verdict, st = classify_improved(poly, p, policy)
+            assert calls == [1]
+            assert verdict is Classification.OUTSIDE
+            assert st == (t + 1, t + 5, int(order[t]), False), seed
+            assert st.edges_tried > _LAZY_DRAWS
+
     def test_a_wide_window_takes_the_trials_first(self, monkeypatch):
         # on a 2000-gon on a 1:100 ellipse a window holds about half the
         # chords, more than _VECTOR_MIN, so the query falls back to the

@@ -556,17 +556,21 @@ def _cap_probes(poly, rng):
     return points
 
 
-def _cap_edges(poly, px, py):
+def _cap_edges(poly, px, py, dy=None):
     # _cap_admitting at a point within the outer disk: the mask's edges
     # where it returns a list, and None only where the point's window, the
     # chords whose normal angle lies within the caps' width of the point's
-    # angle about g, holds more than _VECTOR_MIN chords
+    # angle about g, holds more than _VECTOR_MIN chords. A given dy stands
+    # for py - gy, so +-0.0 puts the angle at exactly +-pi
     gx, gy, _, outer, caps = poly.disks
-    dx, dy = px - gx, py - gy
+    dx = px - gx
+    if dy is None:
+        dy = py - gy
     assert caps is not None and dx * dx + dy * dy <= outer
     got = _cap_admitting(poly, px, py, caps, dx, dy)
-    width, theta, _ = caps
-    off = abs((np.frombuffer(theta) - math.atan2(dy, dx) + math.pi)
+    width = caps[0]
+    _, _, ux, uy = poly.chord_columns
+    off = abs((np.arctan2(-ux, uy) - math.atan2(dy, dx) + math.pi)
               % math.tau - math.pi)
     if got is None:
         assert np.count_nonzero(off <= width * (1 + 1e-9)) > _VECTOR_MIN
@@ -657,6 +661,49 @@ class TestChordCaps:
         # and a near point of the 100-gon is found through the caps
         assert _cap_edges(ring, *ring.vertices[7])
 
+    def test_windows_at_plus_and_minus_pi(self):
+        # a point at angle exactly +-pi about g (dy = +-0.0, dx < 0), or
+        # within 1e-12 of it, has a window past the end of the stored
+        # angles, which its margin copies continue; along each ray, points
+        # on, just off and well inside the ring, up to the outer disk
+        polys = [random_convex(17, seed=97, radius=10),
+                 random_convex(2000, seed=98, radius=10), _thin_ellipse()]
+        answers = []
+        for poly in polys:
+            gx, gy, _, outer, caps = poly.disks
+            assert caps is not None
+            v = poly.vertices
+            found = {"none": 0, "empty": 0, "edges": 0}
+            for phi in (math.pi, math.pi - 1e-12, 1e-12 - math.pi):
+                cx, cy = (-1.0, 0.0) if phi == math.pi else (
+                    math.cos(phi), math.sin(phi))
+                # the ring's distance from g along the ray: the nearest
+                # supporting line ahead, over outward normals (by - ay,
+                # ax - bx) of the counter-clockwise ring
+                dist = min(
+                    ((ax - gx) * (by - ay) + (ay - gy) * (ax - bx))
+                    / (cx * (by - ay) + cy * (ax - bx))
+                    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])
+                    if cx * (by - ay) + cy * (ax - bx) > 0)
+                ts = [dist + d for d in (0.0, 2 * EPS, -2 * EPS, 5 * EPS,
+                                         -5 * EPS, 1e-6 * dist, -1e-3 * dist)]
+                ts += [f * math.sqrt(outer) for f in (0.5, 0.75, 0.9, 1.0)]
+                for t in ts:
+                    px, py = gx + t * cx, gy + t * cy
+                    if not _within_outer(poly, px, py):
+                        continue
+                    dys = (0.0, -0.0) if phi == math.pi else (None,)
+                    got = [_cap_edges(poly, px, py, dy) for dy in dys]
+                    assert got[0] == got[-1], (poly.n, t)
+                    found["none" if got[0] is None else "edges" if got[0]
+                          else "empty"] += 1
+            answers.append(found)
+        # the rings' windows hold at most _VECTOR_MIN chords and find the
+        # ring points' edges; about the ellipse's tip they hold more
+        for found in answers[:2]:
+            assert found["none"] == 0 and found["edges"] > 0, answers
+        assert answers[2]["none"] > 0 == answers[2]["edges"], answers
+
     def test_the_inner_disk_and_the_caps_share_one_bound(self):
         # both come from the least certified lower bound h over the chords,
         # so a polygon has an inner disk exactly when it has caps; on scaled
@@ -682,9 +729,24 @@ class TestChordCaps:
         assert "disks" not in poly.__dict__
         assert "disks" not in again.__dict__
         width, theta, edge = poly.disks[4]
-        assert sorted(edge) == list(range(100))
-        assert list(theta) == sorted(theta)
         assert 0 < width < math.pi / 2
+        # the stored angles are sorted; those in [-pi, pi] hold every chord
+        # once, and the margins past either end hold, shifted by 2 pi, a
+        # copy of every chord within width of the far end and nothing else
+        theta, edge = np.frombuffer(theta), np.frombuffer(edge, np.int64)
+        assert (np.diff(theta) >= 0).all()
+        run = abs(theta) <= math.pi
+        assert sorted(edge[run].tolist()) == list(range(100))
+        _, _, ux, uy = poly.chord_columns
+        angle = np.arctan2(-ux, uy)
+        low, high = theta < -math.pi, theta > math.pi
+        assert (theta[low] == angle[edge[low]] - math.tau).all()
+        assert (theta[high] == angle[edge[high]] + math.tau).all()
+        assert sorted(edge[low].tolist()) == np.flatnonzero(
+            angle >= math.pi - width).tolist()
+        assert sorted(edge[high].tolist()) == np.flatnonzero(
+            angle < width - math.pi).tolist()
+        assert 0 < len(theta) - 100 < 10
 
 
     def test_points_within_the_outer_disk_take_the_caps(self):
