@@ -665,8 +665,8 @@ class TestClassifyImproved:
 
 def _centroid_radii(poly):
     # (ox, oy, r2, R2): the vertex centroid o, and the squared radii about o
-    # of the inner and outer disks by the formulas that held when DIGEST
-    # was taken, when both disks were centred there; the pinned points are
+    # of the inner and outer disks by the formulas that held when the digests
+    # were taken, when both disks were centred there; the pinned points are
     # placed by them
     o = poly.centroid()
     cx, cy, ux, uy = poly.chord_columns
@@ -759,37 +759,23 @@ def _return_path(poly, p, st):
 
 
 class TestPinnedAnswers:
-    # sha256 over repr((verdict.value, *TrialStats)) of every query of
-    # _digest_queries, in order, as classify_improved has answered them
-    # since the outer disk; a speed-up must leave every answer unchanged
-    DIGEST = "e0a3efbe6eda65d740bbe67d15511097566f788a3861a0d3600b20dad72fdf43"
-
-    def test_every_return_path_is_pinned(self):
-        digest = hashlib.sha256()
-        paths = set()
-        for poly, p, policy in _digest_queries():
-            verdict, st = classify_improved(poly, p, policy)
-            digest.update(repr((verdict.value, *st)).encode())
-            paths.add((_return_path(poly, p, st), poly.n == 3))
-        assert paths == {
-            ("far gate", False), ("kernel disk", False), ("sigma 0", False),
-            ("trial quad", False), ("trial outer disk", False),
-            ("rank quad", False), ("rank outer disk", False),
-            ("far gate", True), ("trial quad", True),
-            ("trial outer disk", True)}
-        assert digest.hexdigest() == self.DIGEST
-
-    # the same over _window_digest_queries, taken before the cap window
-    # answered any of them
-    WINDOW_DIGEST = (
-        "6091158ef31f83a3e4514b370087f0a75aedf6d302e33990bb76d1d81290331c")
+    # sha256s over every query of _digest_queries, in order: one over
+    # repr(verdict.value), one over repr(tuple(TrialStats)). The verdicts
+    # are those classify_improved has given since the outer disk; the
+    # counters follow the edge order past the lazy draws and are re-taken
+    # when it changes, so a changed VERDICT_DIGEST always means a changed
+    # verdict
+    VERDICT_DIGEST = (
+        "93d38d541210cff959d0ff8b26e3e60e305cf0857abfba790255122a4ec31170")
+    STATS_DIGEST = (
+        "8146b7322bf9e1f75e04d3f6ebca0ce7ba1aee7782321b9de3bcc5116491bbfd")
 
     @staticmethod
-    def _window_returns(queries, monkeypatch):
-        # the sha256 of the batch's answers, and the returns its queries
-        # reached through the cap window, which only sizes past
+    def _digests(queries, monkeypatch):
+        # the verdict and counter sha256s of the batch, and the returns its
+        # queries reached through the cap window, which only sizes past
         # _LAZY_DRAWS take
-        digest = hashlib.sha256()
+        verdicts, counters = hashlib.sha256(), hashlib.sha256()
         windows = []
         returns = set()
 
@@ -801,23 +787,51 @@ class TestPinnedAnswers:
         for poly, p, policy in queries:
             del windows[:]
             verdict, st = classify_improved(poly, p, policy)
-            digest.update(repr((verdict.value, *st)).encode())
+            verdicts.update(repr(verdict.value).encode())
+            counters.update(repr(tuple(st)).encode())
             if windows and windows[0] is not None:
                 assert poly.n > _LAZY_DRAWS
                 returns.add("sigma 0" if st.exhausted_all else "rank"
                             if st.edges_tried > _LAZY_DRAWS else "trial")
-        return digest.hexdigest(), returns
+        return verdicts.hexdigest(), counters.hexdigest(), returns
+
+    def test_every_return_path_is_pinned(self):
+        verdicts, counters = hashlib.sha256(), hashlib.sha256()
+        paths = set()
+        for poly, p, policy in _digest_queries():
+            verdict, st = classify_improved(poly, p, policy)
+            verdicts.update(repr(verdict.value).encode())
+            counters.update(repr(tuple(st)).encode())
+            paths.add((_return_path(poly, p, st), poly.n == 3))
+        assert paths == {
+            ("far gate", False), ("kernel disk", False), ("sigma 0", False),
+            ("trial quad", False), ("trial outer disk", False),
+            ("rank quad", False), ("rank outer disk", False),
+            ("far gate", True), ("trial quad", True),
+            ("trial outer disk", True)}
+        assert verdicts.hexdigest() == self.VERDICT_DIGEST
+        assert counters.hexdigest() == self.STATS_DIGEST
+
+    # the same over _window_digest_queries; the verdicts were taken before
+    # the cap window answered any of them
+    WINDOW_VERDICT_DIGEST = (
+        "d33f761daa25a165c7aa05289ab18d418016cdcab221deda58ad618c65d53369")
+    WINDOW_STATS_DIGEST = (
+        "048a1277597571e116026904b554eed0f1c4b9dcd5f1837d23dbced82f7be477")
 
     def test_window_path_returns_are_pinned(self, monkeypatch):
-        # DIGEST's 17-, 100- and 1000-gon queries take the cap window to
-        # every return; so does this batch, at a draw, after the rank step,
-        # and not at all
-        digest, returns = self._window_returns(_digest_queries(), monkeypatch)
-        assert digest == self.DIGEST
+        # _digest_queries' 17-, 100- and 1000-gon queries take the cap
+        # window to every return; so does this batch, at a draw, after the
+        # rank step, and not at all
+        verdicts, counters, returns = self._digests(_digest_queries(),
+                                                    monkeypatch)
+        assert (verdicts, counters) == (self.VERDICT_DIGEST,
+                                        self.STATS_DIGEST)
         assert returns == {"trial", "rank", "sigma 0"}
-        digest, returns = self._window_returns(_window_digest_queries(),
-                                               monkeypatch)
-        assert digest == self.WINDOW_DIGEST
+        verdicts, counters, returns = self._digests(_window_digest_queries(),
+                                                    monkeypatch)
+        assert (verdicts, counters) == (self.WINDOW_VERDICT_DIGEST,
+                                        self.WINDOW_STATS_DIGEST)
         assert returns == {"trial", "rank", "sigma 0"}
 
     def test_rest_step_takes_the_caps_and_the_mask(self, monkeypatch):
