@@ -34,7 +34,6 @@ point of the closed triangle, and every polygon runs the one rule.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -62,11 +61,12 @@ class SeededShuffle:
     The policy carries its seed mixed into generator state, each part
     computed once: every query under the policy starts its draws from
     ``state``, mixed when the policy is built, and a query that ranks the
-    rest of the order seeds its key generator with ``pcg_state``, the
-    128-bit PCG64 state ``(state << 64) | _mix64(state)``, mixed the first
-    time a query under the policy ranks. So build a policy once and reuse
-    it across queries. Equality, hashing and repr see only ``seed``. A seed
-    that is not an integer raises TypeError here, not at the first query.
+    rest of the order reads ``round_keys``, the multiplier and addend of
+    each round of the keyed permutation of the rest (see ``_rank_step``),
+    derived from ``state`` with one more mix the first time a query under
+    the policy ranks. So build a policy once and reuse it across queries.
+    Equality, hashing and repr see only ``seed``. A seed that is not an
+    integer raises TypeError here, not at the first query.
     """
 
     seed: int
@@ -77,8 +77,8 @@ class SeededShuffle:
         self.__dict__["state"] = _mix64(self.seed & _MASK64)
 
     @cached_property
-    def pcg_state(self) -> int:
-        return (self.state << 64) | _mix64(self.state)
+    def round_keys(self) -> tuple[int, ...]:
+        return _round_keys(self.state)
 
 
 class TrialStats(NamedTuple):
@@ -101,25 +101,23 @@ class TrialStats(NamedTuple):
 
 
 _MASK64 = (1 << 64) - 1
-_PCG_INC = 0x5851F42D4C957F2D  # any odd increment gives a full-period stream
 # Knuth's MMIX LCG; only the high bits of its state pick swap positions.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # Positions a query tries one at a time, drawing each one in its trial
-# loop, before it ranks the first admitting edge among the rest of the
-# order by uniform keys. A polygon with more edges finds the admitting set
-# through the chord caps before the draws, or, where they cannot answer,
-# through the vectorised mask after them.
-# ``edge_order`` draws the same positions in a loop of its own, the
+# loop, before it ranks the first admitting edge in the rest of the order,
+# a keyed permutation of the undrawn slots (``_rank_step``). A polygon with
+# more edges finds the admitting set through the chord caps before the
+# draws, or, where they cannot answer, through the vectorised mask after
+# them. ``edge_order`` draws the same positions in a loop of its own, the
 # reference the query's inline draws are tested against. Exterior queries
 # admit within a few trials, and so do most near-boundary queries of small
-# polygons. Fewer trials do not pay: at 8, the queries that admit at trials
-# 9-16 also paid for the vectorised step, and exterior p99 rose 1.8-1.9x.
+# polygons. With the rank at O(sigma), 8 draws cut the near-boundary mean
+# by 9% but sent more exterior queries to the O(N) mask, and exterior p99
+# rose 3x; 24 raised the near-boundary mean by 6% and its p99 by 15%.
 # Points deep inside, where no edge admits, skip the trials instead through
 # the inner disk (see ``classify_improved``).
 _LAZY_DRAWS = 16
-
-_tls = threading.local()
 # Builds a TrialStats from one tuple without NamedTuple's Python-level
 # __new__, at under half its cost; the result is the same tuple subclass.
 _new = tuple.__new__
@@ -137,41 +135,84 @@ def _mix64(x: int) -> int:
 _DEFAULT_POLICY = SeededShuffle(DEFAULT_SEED)
 
 
-def _rest_keys(n: int, drawn: list[int], pcg_state: int) -> np.ndarray:
-    # One uniform key in [0, 1) per edge from a thread-local PCG64 set to a
-    # policy's ``pcg_state``. Uniform keys sort into a uniform permutation
-    # (Knuth, TAOCP vol. 2, 3.4.2), so the edges not in ``drawn``, by
-    # increasing (key, index), are the rest of the seeded order; the drawn
-    # edges get +inf and count toward no rank. Setting the state is a pure
-    # function of the seed, several µs cheaper than SeedSequence mixing, and
-    # rewrites one dict entry per thread. Call it only past the whole prefix.
-    pcg = getattr(_tls, "pcg", None)
-    if pcg is None:
-        _tls.pcg = pcg = (np.random.Generator(np.random.PCG64(0)), {
-            "bit_generator": "PCG64", "state": {"state": 0, "inc": _PCG_INC},
-            "has_uint32": 0, "uinteger": 0})
-    gen, state = pcg
-    state["state"]["state"] = pcg_state
-    gen.bit_generator.state = state
-    keys = gen.random(n)
-    keys.put(drawn, np.inf)
-    return keys
+def _round_keys(state: int) -> tuple[int, ...]:
+    # (a0, c0, a1, c1, a2, c2, a3, c3) for ``_feistel``: the draws' LCG run
+    # on from one more mix of ``state``, so not the prefix's own stream
+    keys = [_mix64(state)]
+    for _ in range(8):
+        keys.append((keys[-1] * _LCG_MUL + _LCG_INC) & _MASK64)
+    return tuple(keys[1:])
 
 
-def _rank_step(n: int, drawn: list[int], admitting: list[int],
-               pcg_state: int) -> tuple[int, int]:
-    # (edge, i) for a query whose lazy prefix ``drawn`` admitted nothing:
-    # the first of ``admitting`` (edge indices in increasing order, not
-    # empty) in the rest of the order, and its index in the whole order. It
-    # has the least (key, index); ``min`` keeps the first least key of the
-    # sorted list, so ties go to the lower index. Its rank counts the
-    # undrawn edges before it in that order.
-    keys = _rest_keys(n, drawn, pcg_state)
-    edge = min(admitting, key=keys.item)
-    key = keys.item(edge)
-    rank = int(np.count_nonzero(keys[:edge] <= key)
-               + np.count_nonzero(keys[edge:] < key))
-    return edge, _LAZY_DRAWS + rank
+def _feistel(x, b: int, keys: tuple[int, ...], inverse: bool = False):
+    # The keyed permutation of [0, 2**b), or its inverse: four alternating
+    # Feistel rounds (Luby and Rackoff, 1988) over a low half of b // 2
+    # bits and a high half of the rest, as in FFX (Bellare, Rogaway and
+    # Spies, 2010). Round r XORs into one half the top bits of t * t mod
+    # 2**64, t = a_r * (the other half) + c_r. A multiply-shift hash of the
+    # half alone (Dietzfelbinger et al., 1997) is nearly linear in it and
+    # put the first of a run of adjacent slots up to 2% late on average;
+    # squaring t removes that. The inverse runs the rounds backwards with
+    # the halves' roles swapped. The same arithmetic runs on ints and,
+    # elementwise and wrapping, on uint64 arrays.
+    u = b >> 1
+    lo, hi, su, sv = x & ((1 << u) - 1), x >> u, 64 - u, 64 - b + u
+    if inverse:
+        c0, a0, c1, a1, c2, a2, c3, a3 = keys[::-1]
+        lo, hi, su, sv = hi, lo, sv, su
+    else:
+        a0, c0, a1, c1, a2, c2, a3, c3 = keys
+    t = lo * a0 + c0
+    hi ^= (t * t & _MASK64) >> sv
+    t = hi * a1 + c1
+    lo ^= (t * t & _MASK64) >> su
+    t = lo * a2 + c2
+    hi ^= (t * t & _MASK64) >> sv
+    t = hi * a3 + c3
+    lo ^= (t * t & _MASK64) >> su
+    if inverse:
+        lo, hi = hi, lo
+    return hi << u | lo
+
+
+def _rank_step(n: int, moved: dict[int, int], admitting: list[int],
+               keys: tuple[int, ...]) -> tuple[int, int]:
+    # (edge, i) for a query whose lazy prefix admitted nothing: the first
+    # of ``admitting`` (undrawn edges, not empty) in the rest of the order,
+    # and its index in the whole order. Slot s >= _LAZY_DRAWS of the
+    # prefix's virtual array holds moved.get(s, s), and the rest visits
+    # those slots in the order s - _LAZY_DRAWS = pi(0), pi(1), ..., where
+    # pi is ``_feistel`` over b = bit_length(m - 1) bits, cycle-walked into
+    # [0, m) (Black and Rogaway, "Ciphers with Arbitrary Finite Domains",
+    # 2002). Few admitting edges are ranked by pi's inverse, one evaluation
+    # each; the first of many is found by walking pi forward, about
+    # m / sigma steps.
+    m = n - _LAZY_DRAWS
+    b = (m - 1).bit_length()
+    if len(admitting) ** 2 > m:
+        admits = set(admitting)
+        t, e = -1, None
+        while e not in admits:
+            t += 1
+            s = _feistel(t, b, keys)
+            while s >= m:
+                s = _feistel(s, b, keys)
+            e = moved.get(s + _LAZY_DRAWS, s + _LAZY_DRAWS)
+        return e, _LAZY_DRAWS + t
+    # A swap of the prefix takes an edge out of its slot only to draw it or
+    # when the slot is a prefix position, so an undrawn edge e past the
+    # prefix still sits in slot e, and one below it in the one slot past
+    # the prefix that ``moved`` gives it.
+    best = m
+    for e in admitting:
+        s = e if e >= _LAZY_DRAWS else next(
+            j for j, x in moved.items() if x == e and j >= _LAZY_DRAWS)
+        t = _feistel(s - _LAZY_DRAWS, b, keys, True)
+        while t >= m:
+            t = _feistel(t, b, keys, True)
+        if t < best:
+            best, edge = t, e
+    return edge, _LAZY_DRAWS + best
 
 
 def edge_order(policy: SeededShuffle, n: int) -> list[int]:
@@ -197,8 +238,17 @@ def edge_order(policy: SeededShuffle, n: int) -> list[int]:
         moved[j] = get(i, i)
     if n <= _LAZY_DRAWS:
         return drawn
-    keys = _rest_keys(n, drawn, (base << 64) | _mix64(base))
-    return drawn + np.argsort(keys, kind="stable")[:n - _LAZY_DRAWS].tolist()
+    # The rest, as ``_rank_step`` ranks it: pi over its whole domain in one
+    # pass, then the values past m walked on through that table.
+    m = n - _LAZY_DRAWS
+    b = (m - 1).bit_length()
+    table = _feistel(np.arange(1 << b, dtype=np.uint64), b, _round_keys(base))
+    rest = table[:m]
+    while (rest >= m).any():
+        rest = np.where(rest < m, rest, table[rest])
+    slots = np.arange(n)
+    slots.put(list(moved), list(moved.values()))
+    return drawn + slots[_LAZY_DRAWS + rest].tolist()
 
 
 def _quad_verdict(ring: tuple[Point, ...], px: float, py: float,
@@ -266,15 +316,19 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     plus the few chords whose certified cap faces the point; each draw then
     asks whether its edge is in that set instead of testing its chord, with
     the same answer; when the set is empty, every draw rejects and the
-    query answers INSIDE after them, as when no edge admits, drawing no key.
-    Where the caps cannot answer (a polygon without caps, a point beyond
-    the outer disk, a window of more than ``polygon._VECTOR_MIN`` chords),
-    each draw tests its chord, and a query that gets past the draws tests
-    every edge in one vectorised step, which gives the same set. Only when
-    some edge admits does it draw the keys that rank the rest of the order
-    (see ``_rank_step``), and the first admitting edge in it is the
-    admitting edge with the least (key, index), found without building the
-    order.
+    query answers INSIDE after them, as when no edge admits, ranking
+    nothing. Where the caps cannot answer (a polygon without caps, a point
+    beyond the outer disk, a window of more than ``polygon._VECTOR_MIN``
+    chords), each draw tests its chord, and a query that gets past the
+    draws tests every edge in one vectorised step, which gives the same
+    set. Only when some edge admits does it rank the rest of the order,
+    without building it (see ``_rank_step``): the rest visits the slots the
+    draws left in the order of a keyed permutation, four Feistel rounds
+    (Luby and Rackoff, 1988) cycle-walked into the slots' range (Black and
+    Rogaway, 2002), and the first admitting edge in it is the admitting
+    edge of least position, in one evaluation of the inverse per admitting
+    edge, or, when more than about sqrt(N) edges admit, by walking the
+    permutation forward to the first of them.
 
     ``poly.disks``, built at the polygon's first query, holds the centre g,
     the inner and outer squared radii and the caps; the query computes its
@@ -293,9 +347,10 @@ def classify_improved(poly: ConvexPolygon, p: Point,
     edges one at a time and scanning the quad.
 
     The query starts its draws from ``policy.state``, the seed the policy
-    mixed when it was built, and mixes no seed itself; so a caller that
-    classifies many points under one order builds the policy once and
-    passes it to every query. Without a policy it uses one module-level
+    mixed when it was built, and ranks with ``policy.round_keys``, mixed at
+    its first rank; it mixes no seed itself, so a caller that classifies
+    many points under one order builds the policy once and passes it to
+    every query. Without a policy it uses one module-level
     ``SeededShuffle(DEFAULT_SEED)``.
     """
     px, py = p
@@ -318,7 +373,6 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         # window's chord tests give the whole admitting set, and a drawn
         # edge admits iff it is in that set.
         admitting = _cap_admitting(poly, px, py, caps, dx, dy)
-    drawn: list[int] = []
     # ``edge_order``'s draws from the mixed seed, one per trial
     state = policy.state
     moved: dict[int, int] = {}
@@ -336,17 +390,16 @@ def classify_improved(poly: ConvexPolygon, p: Point,
         elif e in admitting:
             break
         moved[j] = get(i, i)
-        drawn.append(e)
     else:
         # No draw admits. The drawn edges reject in the mask too, so any
         # admitting edge is in the rest of the order; a point that none
-        # admits (sigma = 0) draws no keys, nor does a polygon of at most
+        # admits (sigma = 0) ranks nothing, nor does a polygon of at most
         # _LAZY_DRAWS edges, whose draws were its whole order.
         if admitting is None and n > _LAZY_DRAWS:
             admitting = _admission_mask(poly, px, py).nonzero()[0].tolist()
         if not admitting:
             return Classification.INSIDE, _new(TrialStats, (n, n, None, True))
-        e, i = _rank_step(n, drawn, admitting, policy.pcg_state)
+        e, i = _rank_step(n, moved, admitting, policy.round_keys)
     # edge e, at index i of the order, admits the point
     if d2 > outer:
         # i + 1 trials and the quad's nominal 4 tests, 3 for a triangle

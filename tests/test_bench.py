@@ -152,8 +152,8 @@ class TestExpectation:
         rep = trial_expectation_check(random_convex(40, 11, radius=60.0),
                                       Point(70.0, 0.0), runs=500, seed=7)
         assert rep.sigma == 8
-        assert rep.observed_mean_trials == 4.726
-        assert rep.with_replacement_mean_trials == 5.19
+        assert rep.observed_mean_trials == 4.752
+        assert rep.with_replacement_mean_trials == 5.256
 
     def test_with_replacement_matches_model_within_5pct(self):
         # measured sigma first, then Monte Carlo against N / sigma

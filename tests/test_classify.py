@@ -105,7 +105,7 @@ class TestEdgeOrder:
 
     def test_seeded_order_uniform_first_lazy_and_first_bulk_position(self):
         # position 0 comes from the lazy draws, position _LAZY_DRAWS from
-        # the uniform keys
+        # the keyed permutation of the rest
         n, runs = 40, 20_000
         for pos in (0, _LAZY_DRAWS):
             counts = [0] * n
@@ -135,27 +135,87 @@ class TestEdgeOrder:
         order = edge_order(SeededShuffle(seed), n)
         assert order[:_LAZY_DRAWS] == self.PINNED_PREFIXES[seed, n]
 
+    @pytest.mark.parametrize("b", range(12))
+    def test_rest_permutation_is_a_bijection(self, b):
+        # every width bit_length(n - _LAZY_DRAWS - 1) up to n = 2000: the
+        # keyed permutation of [0, 2**b) is one, on ints and on uint64
+        # arrays alike, and its inverse undoes it
+        permute = classify_module._feistel
+        domain = list(range(1 << b))
+        for seed in (0, 1, 2**63 - 1):
+            keys = SeededShuffle(seed).round_keys
+            image = [permute(x, b, keys) for x in domain]
+            assert sorted(image) == domain
+            assert [permute(y, b, keys, True) for y in image] == domain
+            vector = permute(np.arange(1 << b, dtype=np.uint64), b, keys)
+            assert vector.dtype == np.uint64 and vector.tolist() == image
+            assert permute(vector, b, keys, True).tolist() == domain
+
+    def test_runs_of_admitting_edges_wait_as_in_a_uniform_order(self):
+        # a point admitted by exactly sigma adjacent edges is tried up to the
+        # first of them in the order; in a uniform permutation of n that
+        # takes (n + 1) / (sigma + 1) trials on average, with variance
+        # sigma (n + 1) (n - sigma) / ((sigma + 1)^2 (sigma + 2)). Each
+        # order gives n // (2 sigma) disjoint runs at a random rotation;
+        # the first positions of disjoint runs of a uniform permutation are
+        # negatively associated (Joag-Dev and Proschan, 1983), so their
+        # mean's variance is at most that of as many independent runs, and
+        # the bound is 3.29 of those standard errors (two-sided 0.999): at
+        # n = 2000 under 1% of the mean for every sigma
+        seeds = 400
+        rng = np.random.default_rng(28)
+        for n in (17, 40, 100, 128, 1000, 2000):
+            positions = []
+            for seed in range(seeds):
+                order = edge_order(SeededShuffle(seed), n)
+                pos = np.empty(n, np.int64)
+                pos[order] = np.arange(n)
+                positions.append(pos)
+            for sig in (1, 2, 3, 5):
+                runs = max(1, n // (2 * sig))
+                tried = []
+                for pos in positions:
+                    starts = rng.integers(n) + 2 * sig * np.arange(runs)
+                    edges = (starts[:, None] + np.arange(sig)) % n
+                    tried.append(pos[edges].min(axis=1) + 1)
+                mean = (n + 1) / (sig + 1)
+                var = sig * (n + 1) * (n - sig) / ((sig + 1) ** 2 * (sig + 2))
+                bound = 3.29 * math.sqrt(var / (seeds * runs))
+                if n == 2000:
+                    assert bound < 0.01 * mean
+                got = float(np.mean(tried))
+                assert abs(got - mean) < bound, (n, sig, got, mean, bound)
+
 
 class TestSeededShuffle:
     SEEDS = (0, 1, -1, -(2**63), 2**63 - 1, 2**64, 2**64 + 5, 2**100 + 3)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_state_is_the_mixed_seed(self, seed):
+        # the round keys are derived on first use, with one more mix: the
+        # draws' LCG run on from the mixed state, two words per round
         mix = classify_module._mix64
         policy = SeededShuffle(seed)
-        assert "pcg_state" not in policy.__dict__
+        assert "round_keys" not in policy.__dict__
         assert policy.state == mix(seed & _MASK64)
-        assert policy.pcg_state == (policy.state << 64) | mix(policy.state)
-        assert 0 <= policy.pcg_state < 2**128
+        k = mix(policy.state)
+        words = []
+        for _ in range(8):
+            k = (k * classify_module._LCG_MUL
+                 + classify_module._LCG_INC) & _MASK64
+            words.append(k)
+        keys = policy.round_keys
+        assert "round_keys" in policy.__dict__
+        assert keys == tuple(words)
 
     def test_value_semantics_see_only_the_seed(self):
         # 5 and 2**64 + 5 mix to the same states, yet differ as values
         a, b, c = SeededShuffle(5), SeededShuffle(5), SeededShuffle(2**64 + 5)
-        assert (a.state, a.pcg_state) == (c.state, c.pcg_state)
+        assert (a.state, a.round_keys) == (c.state, c.round_keys)
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert repr(a) == "SeededShuffle(seed=5)"
-        for name in ("state", "pcg_state"):
+        for name in ("state", "round_keys"):
             object.__setattr__(b, name, 0)
             assert a == b and hash(a) == hash(b)
             assert repr(b) == "SeededShuffle(seed=5)"
@@ -169,7 +229,8 @@ class TestSeededShuffle:
         back = pickle.loads(pickle.dumps(want))
         assert back == want
         for got in (policy, back):
-            assert (got.state, got.pcg_state) == (want.state, want.pcg_state)
+            assert (got.state, got.round_keys) == (want.state,
+                                                   want.round_keys)
 
     @pytest.mark.parametrize("seed", [1.0, 2.5, "3", None, (1,)])
     def test_non_integer_seed_rejected_at_construction(self, seed):
@@ -464,9 +525,9 @@ class TestClassifyImproved:
 
     def test_sigma_zero_never_builds_the_bulk_order(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("keys drawn for a sigma = 0 query")
+            raise AssertionError("rest of the order ranked for sigma = 0")
 
-        monkeypatch.setattr(classify_module, "_rest_keys", fail)
+        monkeypatch.setattr(classify_module, "_rank_step", fail)
         for n in (_LAZY_DRAWS + 1, 100, 2000):
             poly = regular_ngon(n)
             # the chord lines bound a regular n-gon with the inner disk as
@@ -485,26 +546,24 @@ class TestClassifyImproved:
                     assert verdict is Classification.INSIDE
                     assert stats == TrialStats(n, n, None, True)
 
-    def test_tied_keys_rank_by_edge_index(self, monkeypatch):
-        # with every key tied, the rest of a seeded order is the undrawn
-        # edges by index, on the query path and in edge_order alike
-        def tied(n, drawn, pcg_state):
-            keys = np.zeros(n)
-            keys.put(drawn, np.inf)
-            return keys
-
-        monkeypatch.setattr(classify_module, "_rest_keys", tied)
-        past_prefix = 0
+    def test_both_rank_routes_match_edge_order(self):
+        # the rank step ranks few admitting edges by the inverse
+        # permutation and finds the first of many by walking it forward
+        # (sigma**2 > n - _LAZY_DRAWS); both give edge_order's first
+        # admitting edge, on the query path and called alone
         for n, seed in [(17, 30), (100, 31), (2000, 32)]:
             poly = random_convex(n, seed=seed, radius=10)
             v = poly.vertices
+            gx, gy, _, outer, _ = poly.disks
             points = [
                 off_midpoint(v[k], v[(k + 1) % n], off)
                 for k in np.random.default_rng(seed).integers(0, n, 6).tolist()
                 for off in (2 * EPS, -2 * EPS, 1e-5, -1e-5)]
-            for policy in map(SeededShuffle, range(4)):
+            points += [Point(gx + f * math.sqrt(outer) * math.cos(t),
+                             gy + f * math.sqrt(outer) * math.sin(t))
+                       for f in (1.001, 1.5) for t in (0.5, 2.5, 4.5)]
+            for policy in map(SeededShuffle, range(8)):
                 order = edge_order(policy, n)
-                assert order[_LAZY_DRAWS:] == sorted(order[_LAZY_DRAWS:])
                 for p in points:
                     _, st = classify_improved(poly, p, policy)
                     # plain ints, as the reports' JSON needs
@@ -512,13 +571,35 @@ class TestClassifyImproved:
                     assert order[st.edges_tried - 1] == st.legal_edge
                     assert not any(legality_test(poly, e, p)
                                    for e in order[:st.edges_tried - 1])
-                    past_prefix += st.edges_tried > _LAZY_DRAWS
-        assert past_prefix > 0
+        # any undrawn set, against the order it ranks in
+        rng = np.random.default_rng(34)
+        routes = set()
+        for n in (17, 18, 40, 100, 2000):
+            for seed in range(10):
+                policy = SeededShuffle(seed)
+                order = edge_order(policy, n)
+                state, moved = policy.state, {}
+                for i in range(_LAZY_DRAWS):
+                    state = (state * classify_module._LCG_MUL
+                             + classify_module._LCG_INC) & _MASK64
+                    j = i + ((state * (n - i)) >> 64)
+                    moved[j] = moved.get(i, i)
+                rest = order[_LAZY_DRAWS:]
+                for size in {1, 2, 5, n // 4, n - _LAZY_DRAWS}:
+                    size = min(max(size, 1), len(rest))
+                    admitting = sorted(rng.choice(rest, size, replace=False)
+                                       .tolist())
+                    i = min(order.index(e) for e in admitting)
+                    got = classify_module._rank_step(n, moved, admitting,
+                                                     policy.round_keys)
+                    assert got == (order[i], i)
+                    routes.add(size ** 2 > n - _LAZY_DRAWS)
+        assert routes == {False, True}
 
     def test_query_admitting_edge_is_uniform(self):
         # 1e-5 outside the midpoint of an edge of a 200-gon, the edge and
         # its two neighbours admit (sigma = 3), so most queries get past
-        # the lazy draws and rank the admitting edge by its key
+        # the lazy draws and rank the admitting edges
         n, runs = 200, 6000
         poly = random_convex(n, seed=33, radius=10)
         p = off_midpoint(poly.vertices[50], poly.vertices[51], 1e-5)
@@ -547,11 +628,12 @@ class TestClassifyImproved:
             raise AssertionError("work done for a point in the disk")
 
         # the policy mixes its seed when it is built, and any query that
-        # ranks the rest of the order draws keys; the disk answers without
-        # mixing anything, testing a single chord or reading the caps
+        # ranks the rest of the order mixes its round keys; the disk answers
+        # without mixing or ranking anything, testing a single chord or
+        # reading the caps
         policy = SeededShuffle(3)
         monkeypatch.setattr(classify_module, "_mix64", fail)
-        monkeypatch.setattr(classify_module, "_rest_keys", fail)
+        monkeypatch.setattr(classify_module, "_rank_step", fail)
         monkeypatch.setattr(classify_module, "_cap_admitting", fail)
         monkeypatch.setattr(classify_module, "_admission_mask", fail)
         monkeypatch.setattr(polygon_module, "_admission_mask", fail)
@@ -568,9 +650,9 @@ class TestClassifyImproved:
                 assert stats == TrialStats(n, n, None, True)
 
     def test_no_query_mixes_its_seed(self, monkeypatch):
-        # a policy mixes its seed and its key generator's state once, when
-        # it is built; queries start from policy.state and seed the rank
-        # step's keys with policy.pcg_state. Far exterior queries of a
+        # a policy mixes its seed once, when it is built, and its round keys
+        # once, at its first rank step; queries start from policy.state and
+        # rank with policy.round_keys. Far exterior queries of a
         # 2000-gon admit at a trial or after the rank step, and a point
         # 2 EPS inside an edge midpoint, admitted by 3 edges, mostly gets
         # past the lazy draws. No query calls _mix64 at all.
@@ -763,12 +845,13 @@ class TestPinnedAnswers:
     # repr(verdict.value), one over repr(tuple(TrialStats)). The verdicts
     # are those classify_improved has given since the outer disk; the
     # counters follow the edge order past the lazy draws and are re-taken
-    # when it changes, so a changed VERDICT_DIGEST always means a changed
+    # when it changes (last when the rest of the order became a keyed
+    # permutation), so a changed VERDICT_DIGEST always means a changed
     # verdict
     VERDICT_DIGEST = (
         "93d38d541210cff959d0ff8b26e3e60e305cf0857abfba790255122a4ec31170")
     STATS_DIGEST = (
-        "8146b7322bf9e1f75e04d3f6ebca0ce7ba1aee7782321b9de3bcc5116491bbfd")
+        "5b889cada4e5e513456a6f7ad0ff0bc13efb40704bc8cc2f4eefd81aacd19282")
 
     @staticmethod
     def _digests(queries, monkeypatch):
@@ -817,7 +900,7 @@ class TestPinnedAnswers:
     WINDOW_VERDICT_DIGEST = (
         "d33f761daa25a165c7aa05289ab18d418016cdcab221deda58ad618c65d53369")
     WINDOW_STATS_DIGEST = (
-        "048a1277597571e116026904b554eed0f1c4b9dcd5f1837d23dbced82f7be477")
+        "37e00a71c305eeca26c6e5e745a821478cd5ea300007914a811934ab0a19366d")
 
     def test_window_path_returns_are_pinned(self, monkeypatch):
         # _digest_queries' 17-, 100- and 1000-gon queries take the cap
