@@ -2,7 +2,7 @@
 
 The package exposes three classifiers under one instrumentation contract
 (the perpendicular-admission fast path plus ray-cast and fan-triangulation
-baselines), an exact half-plane oracle for differential testing, a seeded
+baselines), a half-plane reference oracle for differential testing, a seeded
 convex polygon generator, and a benchmark harness that validates the
 expected trial-count model E = N / sigma.
 """

@@ -4,10 +4,10 @@ fuzzing, and report emission.
 Two sweeps mirror the classic comparison setup: a point sweep (many points
 sampled from one polygon's bounding rectangle) and a polygon sweep (one
 query point against polygon sets of growing edge count). Every verdict is
-cross-checked against the exact half-plane oracle; a single mismatch aborts
-the sweep with the offending instance serialized. Timing is wall clock per
-point set with warmup rounds and a median over repetitions, reported
-relative to ray casting on the first set.
+cross-checked against the half-plane reference oracle; a single mismatch
+aborts the sweep with the offending instance serialized. Timing is wall
+clock per point set with warmup rounds and a median over repetitions,
+reported relative to ray casting on the first set.
 """
 from __future__ import annotations
 
@@ -93,7 +93,6 @@ class SweepCell:
     intersection_tests: int
     edges_tried: int
     exhausted_all: int
-    disagreements: int
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,6 @@ def _measure_cells(jobs, cfg: BenchConfig,
                 intersection_tests=its,
                 edges_tried=tried,
                 exhausted_all=exhausted,
-                disagreements=0,
             ))
     baseline = next(c.walltime_ns for c in cells
                     if c.algorithm == "raycast" and c.set_index == 0)
@@ -411,8 +409,8 @@ _FUZZ_POINTS_PER_POLYGON = 50
 
 def run_fuzz(cases: int, max_n: int = 256,
              seed: int = DEFAULT_SEED) -> FuzzResult:
-    """Differential suite: every classifier in CLASSIFIERS against the exact
-    oracle.
+    """Differential suite: every classifier in CLASSIFIERS against the
+    half-plane oracle.
 
     Query points are integer lattice points covering the polygon's bounding
     box. Every point drawn is checked, none skipped: at the fuzz's radii
@@ -450,8 +448,7 @@ def run_fuzz(cases: int, max_n: int = 256,
 
 # The SweepCell fields in order; "set" is set_index.
 _CSV_SWEEP_HEADER = ("algorithm,set,walltime_ns,relative_time,"
-                     "intersection_tests,edges_tried,exhausted_all,"
-                     "disagreements")
+                     "intersection_tests,edges_tried,exhausted_all")
 
 _CSV_EXPECTATION_HEADER = ("n_edges,sigma,predicted,observed_mean_trials,"
                            "with_replacement_mean_trials,runs,relative_error")

@@ -1,5 +1,5 @@
 """Convex polygon representation, validation, quadrilateral extraction,
-random generation, the exact half-plane oracle, and bounding boxes.
+random generation, the half-plane reference oracle, and bounding boxes.
 
 A ``ConvexPolygon`` is immutable once validated: vertices are stored
 counter-clockwise, strictly convex (no collinear consecutive triple), with no
@@ -489,17 +489,21 @@ def bounding_box(poly: ConvexPolygon) -> BoundingBox:
 
 def oracle_classify(poly: ConvexPolygon, p: Point,
                     eps: float = EPS) -> Classification:
-    """Ground-truth classification by the all-half-planes convexity test.
+    """Reference classification by the all-half-planes convexity test, a
+    float predicate like the classifiers it checks.
 
     INSIDE iff the point is strictly left of every directed edge;
-    ON_BOUNDARY iff it is collinear with some edge and within that closed
-    segment while never strictly right; OUTSIDE otherwise. With ``eps=0``
-    and inputs whose signs are exactly representable this is exact.
+    ON_BOUNDARY iff it is never strictly right and some edge with a cross
+    product within ``eps`` holds it in its closed segment; OUTSIDE otherwise.
 
-    From ``_VECTOR_MIN`` vertices on, the cross product of every edge
-    V[k-1]->V[k] is computed at once over ``ConvexPolygon.ring_columns``,
-    in the same float64 operations as the scalar loop below. The oracle
-    shares only those edge vectors with ``_boundary_scan``, not its
+    Two paths collect the near edges, in ring order the endpoints of the
+    edges V[k-1]->V[k] whose cross product is within ``eps``, and return
+    OUTSIDE once the point is strictly right of an edge: from ``_VECTOR_MIN``
+    vertices on, one column expression over ``ConvexPolygon.ring_columns``,
+    in the float64 operations of the scalar loop that smaller rings run.
+    One tail then decides: ON_BOUNDARY at the first near edge whose closed
+    segment holds the point, else OUTSIDE if any edge is near, else INSIDE.
+    The oracle shares only the edge vectors with ``_boundary_scan``, not its
     predicate. The edge order cannot change the verdict: any edge strictly
     right gives OUTSIDE, and otherwise a point on some edge beats a point on
     an edge's line beyond the segment, which beats INSIDE.
@@ -514,36 +518,28 @@ def oracle_classify(poly: ConvexPolygon, p: Point,
     px, py = p
     if not _require_finite(px, py):
         return Classification.OUTSIDE  # beyond _FAR; see geom
-    tol = max(eps, EPS)
+    near = []
     if len(verts) >= _VECTOR_MIN:
         ax, ay, _, ux, uy, _ = poly.ring_columns
         cr = ux * (py - ay) - uy * (px - ax)
         if np.count_nonzero(cr < -eps):
             return Classification.OUTSIDE
-        near = (cr <= eps).nonzero()[0].tolist()
-        for k in near:
-            (x0, y0), (x1, y1) = verts[k - 1], verts[k]
-            if _on_segment_coords(px, py, x0, y0, x1, y1, tol):
-                return Classification.ON_BOUNDARY
-        return Classification.OUTSIDE if near else Classification.INSIDE
-    on_edge = False
-    off_line = False
-    ax, ay = verts[-1]
-    for bx, by in verts:
-        cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if cr < -eps:
-            return Classification.OUTSIDE
-        if cr <= eps:
-            if _on_segment_coords(px, py, ax, ay, bx, by, tol):
-                on_edge = True
-            else:
-                off_line = True
-        ax, ay = bx, by
-    if on_edge:
-        return Classification.ON_BOUNDARY
-    if off_line:
-        return Classification.OUTSIDE
-    return Classification.INSIDE
+        for k in (cr <= eps).nonzero()[0].tolist():
+            near.append((verts[k - 1], verts[k]))
+    else:
+        ax, ay = verts[-1]
+        for bx, by in verts:
+            cr = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if cr < -eps:
+                return Classification.OUTSIDE
+            if cr <= eps:
+                near.append(((ax, ay), (bx, by)))
+            ax, ay = bx, by
+    tol = max(eps, EPS)
+    for (x0, y0), (x1, y1) in near:
+        if _on_segment_coords(px, py, x0, y0, x1, y1, tol):
+            return Classification.ON_BOUNDARY
+    return Classification.OUTSIDE if near else Classification.INSIDE
 
 
 def _admission_mask(poly: ConvexPolygon, px: float, py: float) -> np.ndarray:

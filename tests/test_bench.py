@@ -19,7 +19,12 @@ from convexpoint.bench import (
     trial_expectation_check,
 )
 from convexpoint.geom import Point
-from convexpoint.polygon import random_convex, sigma, validate_convex
+from convexpoint.polygon import (
+    Classification,
+    random_convex,
+    sigma,
+    validate_convex,
+)
 
 SMALL_CFG = BenchConfig(points_per_set=40, num_point_sets=2,
                         polygon_sizes=(8, 16), repetitions=2, warmup_rounds=0,
@@ -54,8 +59,19 @@ class TestBenchConfig:
 
 class TestPointSweep:
     def test_cell_count_and_zero_disagreements(self, point_report):
+        # the sweep raises OracleDisagreementError at the first mismatch, so
+        # a report with every cell has none
         assert len(point_report.cells) == 3 * SMALL_CFG.num_point_sets
-        assert all(c.disagreements == 0 for c in point_report.cells)
+
+    def test_a_mismatch_aborts_the_sweep(self, monkeypatch):
+        poly = random_convex(8, seed=1, radius=5)
+        cfg = BenchConfig(points_per_set=20, num_point_sets=1,
+                          repetitions=1, warmup_rounds=0, seed=2)
+        fan = bench.CLASSIFIERS["fan"]
+        monkeypatch.setitem(bench.CLASSIFIERS, "fan", lambda poly, p, policy: (
+            Classification.OUTSIDE, fan(poly, p, policy)[1]))
+        with pytest.raises(bench.OracleDisagreementError, match="fan"):
+            run_point_sweep(poly, cfg)
 
     def test_minimal_config_three_cells(self):
         poly = random_convex(8, seed=1, radius=5)
@@ -228,8 +244,7 @@ class TestEmit:
         text = emit_report(point_report, "csv")
         lines = text.strip().splitlines()
         assert lines[0] == ("algorithm,set,walltime_ns,relative_time,"
-                            "intersection_tests,edges_tried,exhausted_all,"
-                            "disagreements")
+                            "intersection_tests,edges_tried,exhausted_all")
         assert len(lines) == 1 + len(point_report.cells)
 
     def test_json_round_trip(self, point_report, polygon_report):

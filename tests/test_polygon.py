@@ -412,6 +412,32 @@ class TestOracle:
         assert branches >= {None, (False, False), (True, False),
                             (False, True), (True, True)}, branches
 
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_segment_tests_only_near_edges_after_the_sides(self, n,
+                                                           monkeypatch):
+        # Both paths test segments only once no edge has the point strictly
+        # right, and only the near edges. A point on the closing edge's
+        # line just past V0 is strictly right of V0 -> V1, so it costs no
+        # segment test; a point at an edge's midpoint costs exactly one.
+        poly = validate_convex(SQUARE) if n == 4 else regular_ngon(n)
+        (x0, y0), (x1, y1), (x2, y2) = poly.vertices[-1], *poly.vertices[:2]
+        past = Point(x1 + 0.5 * (x1 - x0), y1 + 0.5 * (y1 - y0))
+        mid = Point((x1 + x2) / 2, (y1 + y2) / 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _on_segment_coords(*args)
+
+        monkeypatch.setattr(polygon, "_on_segment_coords", counted)
+        for vector_min in (n + 1, 3):  # the scalar loop, then the columns
+            monkeypatch.setattr(polygon, "_VECTOR_MIN", vector_min)
+            calls.clear()
+            assert oracle_classify(poly, past) is Classification.OUTSIDE
+            assert calls == [], vector_min
+            assert oracle_classify(poly, mid) is Classification.ON_BOUNDARY
+            assert len(calls) == 1, vector_min
+
 
 class TestBoundingBox:
     def test_square(self):
